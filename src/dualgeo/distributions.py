@@ -1,12 +1,15 @@
-"""Parametrized probability families: log-densities, scores, and chart maps.
+"""Parametrized probability families: potentials, chart maps, log-densities.
 
 Three concrete families (1D Gaussian, Bernoulli, Categorical) expose a
 natural-parameter chart and a mean-parameter chart (plus a raw (mu, sigma)
-chart for the Gaussian).  Scores and log-density Hessians are analytic in
-the natural chart and transported to other charts by the chain rule, using
-the fact that the mean-to-natural Jacobian is the Hessian of the dual
-potential.  Expectations are exact sums for discrete families and
-Gauss-Hermite quadrature for the Gaussian.
+chart for the Gaussian).  Each family gives the log-partition psi and its
+first three derivatives in closed form, together with the first and second
+derivatives of every chart map into the natural chart; the mean-to-natural
+Jacobian is the Hessian of the dual potential.  These are all the geometry
+module needs for Fisher metrics and alpha-connections.  Scores and
+log-density Hessians of single outcomes are transported from the natural
+chart by the chain rule; expectations are exact sums for discrete families
+and Gauss-Hermite quadrature for the Gaussian.
 """
 from __future__ import annotations
 
@@ -19,9 +22,6 @@ from scipy.special import logsumexp
 NATURAL = "natural"
 MEAN = "mean"
 RAW = "raw"
-
-_EPS = np.finfo(float).eps
-
 
 class InvalidParameterError(ValueError):
     """Parameter coordinates outside the family's valid region."""
@@ -62,10 +62,6 @@ def point(chart, *coords):
     return ParameterPoint(chart, np.asarray(coords, dtype=float))
 
 
-def _fd_step(u, power=1.0 / 3.0):
-    return np.maximum(1.0, np.abs(u)) * _EPS**power
-
-
 class DistributionFamily(ABC):
     """Base class: exponential-family structure plus chart transport."""
 
@@ -103,6 +99,10 @@ class DistributionFamily(ABC):
         ...
 
     @abstractmethod
+    def third_potential(self, theta) -> np.ndarray:
+        """psi_abc(theta): the third cumulant tensor of the sufficient statistic."""
+
+    @abstractmethod
     def dual_potential(self, eta) -> float:
         """Legendre dual phi(eta) = <theta(eta), eta> - psi(theta(eta))."""
 
@@ -138,20 +138,15 @@ class DistributionFamily(ABC):
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
     def _natural_jacobian_derivative(self, pt: ParameterPoint) -> np.ndarray:
-        """H[a, i, j] = d^2 theta_a / d u_i d u_j by central differences."""
-        u = pt.coords
-        d = self.dim
-        out = np.empty((d, d, d))
-        h = _fd_step(u)
-        for j in range(d):
-            up = u.copy()
-            dn = u.copy()
-            up[j] += h[j]
-            dn[j] -= h[j]
-            jp = self._natural_jacobian(ParameterPoint(pt.chart, up))
-            jm = self._natural_jacobian(ParameterPoint(pt.chart, dn))
-            out[:, :, j] = (jp - jm) / (2.0 * h[j])
-        return out
+        """H[a, i, j] = d^2 theta_a / d u_i d u_j of the map into the natural chart."""
+        if pt.chart == NATURAL:
+            return np.zeros((self.dim,) * 3)
+        if pt.chart == MEAN:
+            # d phi'' = -phi'' (d psi'') phi'' and d psi''_de / d eta_j = psi_def phi''_fj
+            jac = self.hess_dual_potential(pt.coords)
+            psi3 = self.third_potential(self.grad_dual_potential(pt.coords))
+            return -np.einsum("ad,def,ei,fj->aij", jac, psi3, jac, jac)
+        raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
     def score(self, pt: ParameterPoint, x) -> np.ndarray:
         """Gradient of log p w.r.t. the coordinates of pt's chart."""
@@ -287,6 +282,10 @@ class Bernoulli(_DiscreteFamily):
         s = self.grad_potential(theta)[0]
         return np.array([[s * (1.0 - s)]])
 
+    def third_potential(self, theta):
+        s = self.grad_potential(theta)[0]
+        return np.array([[[s * (1.0 - s) * (1.0 - 2.0 * s)]]])
+
     def dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)[0]
         return float(e * np.log(e) + (1.0 - e) * np.log(1.0 - e))
@@ -351,22 +350,25 @@ class Categorical(_DiscreteFamily):
         if pt.chart == MEAN:
             eta = pt.coords
             return np.append(eta, 1.0 - eta.sum())
-        theta = pt.coords
-        z = np.append(theta, 0.0)
-        return np.exp(z - logsumexp(z))
+        return _softmax(pt.coords)
 
     def potential(self, theta):
         z = np.append(np.asarray(theta, dtype=float), 0.0)
         return float(logsumexp(z))
 
     def grad_potential(self, theta):
-        z = np.append(np.asarray(theta, dtype=float), 0.0)
-        p = np.exp(z - logsumexp(z))
-        return p[:-1]
+        return _softmax(theta)[:-1]
 
     def hess_potential(self, theta):
         p = self.grad_potential(theta)
         return np.diag(p) - np.outer(p, p)
+
+    def third_potential(self, theta):
+        # psi_ab = p_a n_ab with n_ab = delta_ab - p_b, and d p_a / d theta_c = p_a n_ac:
+        # psi_abc = d_abc p_a - d_ab p_a p_c - d_ac p_a p_b - d_bc p_a p_b + 2 p_a p_b p_c
+        p = self.grad_potential(theta)
+        n = np.eye(p.size) - p
+        return p[:, None, None] * (n[:, :, None] * n[:, None, :] - p[None, :, None] * n)
 
     def dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)
@@ -389,6 +391,13 @@ class Categorical(_DiscreteFamily):
         if int(x) < self.dim:
             t[int(x)] = 1.0
         return t - self.grad_potential(theta)
+
+
+def _softmax(theta):
+    """Probabilities of all k outcomes from the k-1 log-odds against the last."""
+    z = np.append(np.asarray(theta, dtype=float), 0.0)
+    e = np.exp(z - z.max())
+    return e / e.sum()
 
 
 class Gaussian1D(DistributionFamily):
@@ -483,6 +492,13 @@ class Gaussian1D(DistributionFamily):
             ]
         )
 
+    def third_potential(self, theta):
+        t1, t2 = np.asarray(theta, dtype=float)
+        p112 = 1.0 / (2.0 * t2**2)
+        p122 = -t1 / t2**3
+        p222 = 1.5 * t1**2 / t2**4 - 1.0 / t2**3
+        return np.array([[[0.0, p112], [p112, p122]], [[p112, p122], [p122, p222]]])
+
     def dual_potential(self, eta):
         e1, e2 = np.asarray(eta, dtype=float)
         return float(-0.5 * (1.0 + np.log(e2 - e1**2)))
@@ -513,6 +529,16 @@ class Gaussian1D(DistributionFamily):
                 [[1.0 / sigma**2, -2.0 * mu / sigma**3], [0.0, 1.0 / sigma**3]]
             )
         return super()._natural_jacobian(pt)
+
+    def _natural_jacobian_derivative(self, pt: ParameterPoint) -> np.ndarray:
+        if pt.chart == RAW:
+            # theta = (mu / sigma^2, -1 / (2 sigma^2))
+            mu, sigma = pt.coords
+            s3, s4 = sigma**3, sigma**4
+            return np.array(
+                [[[0.0, -2.0 / s3], [-2.0 / s3, 6.0 * mu / s4]], [[0.0, 0.0], [0.0, -3.0 / s4]]]
+            )
+        return super()._natural_jacobian_derivative(pt)
 
     def kl(self, p: ParameterPoint, q: ParameterPoint) -> float:
         mu1, s1 = self._raw(p)

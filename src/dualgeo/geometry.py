@@ -1,10 +1,20 @@
 """Dual-affine core: Fisher metrics, Legendre duality, Bregman/KL divergences,
 alpha-connection Christoffel symbols, and rotation transforms.
 
-Metric components are expectation values of score outer products; potentials
-and their Hessians give the dual-metric route.  The alpha-connection family
-interpolates between the exponential (alpha = 1), Levi-Civita (alpha = 0),
-and mixture (alpha = -1) connections.
+Every family here is exponential, so the Fisher metric and the
+alpha-connections have closed forms in the log-partition psi (Amari &
+Nagaoka, Methods of Information Geometry, 2000, sections 2.3 and 3.5).  With
+theta(u) the natural coordinates of a chart point u, J = d theta / du and
+H = d^2 theta / du^2,
+
+    g_ij = psi_ab J^a_i J^b_j
+    Gamma^(alpha)_{ij,k} = (1 - alpha)/2 psi_abc J^a_i J^b_j J^c_k
+                           + psi_ab H^a_ij J^b_k.
+
+No expectation is taken.  The alpha-connection family interpolates between
+the exponential (alpha = 1), Levi-Civita (alpha = 0), and mixture
+(alpha = -1) connections.  Hessians of the KL divergence give the
+independent metric route that the length functionals cross-check.
 """
 from __future__ import annotations
 
@@ -18,7 +28,6 @@ from .distributions import (
     ChartError,
     DistributionFamily,
     ParameterPoint,
-    _fd_step,
 )
 
 PRIMAL = "primal"
@@ -131,12 +140,21 @@ class PotentialPair:
         )
 
 
+def _natural_frame(family: DistributionFamily, pt: ParameterPoint):
+    """theta(pt), the Jacobian J = d theta / du and psi''(theta)."""
+    theta = family.convert(pt, NATURAL).coords  # validates pt
+    return theta, family._natural_jacobian(pt), family.hess_potential(theta)
+
+
+def _pullback(jac, psi2):
+    g = jac.T @ psi2 @ jac
+    return 0.5 * (g + g.T)
+
+
 def fisher_metric(family: DistributionFamily, pt: ParameterPoint) -> MetricTensor:
-    """Fisher information E[score score^T] in the chart of pt."""
-    family.validate(pt)
-    comps = family.expect(pt, lambda x: np.outer(family.score(pt, x), family.score(pt, x)))
-    comps = 0.5 * (comps + comps.T)
-    return MetricTensor(pt.chart, pt, comps)
+    """Fisher information J^T psi''(theta) J in the chart of pt."""
+    _, jac, psi2 = _natural_frame(family, pt)
+    return MetricTensor(pt.chart, pt, _pullback(jac, psi2))
 
 
 def legendre_dual(pot: PotentialPair, theta: ParameterPoint):
@@ -194,29 +212,31 @@ def dual_metrics(pot: PotentialPair, theta: ParameterPoint):
     )
 
 
+def _first_kind(family, pt, alpha, theta, jac, psi2):
+    # psi_ab H^a_ij J^b_k: the bending of the chart, the same for every alpha
+    lower = np.einsum("aij,ab,bk->ijk", family._natural_jacobian_derivative(pt), psi2, jac)
+    w = 0.5 * (1.0 - alpha)
+    if w != 0.0:
+        psi3 = family.third_potential(theta)
+        lower += w * np.einsum("abc,ai,bj,ck->ijk", psi3, jac, jac, jac)
+    return lower
+
+
 def christoffel_first_kind(
     family: DistributionFamily, pt: ParameterPoint, alpha: float
 ) -> np.ndarray:
-    """Lower-index coefficients Gamma^(alpha)_{ij,k} = E[(l_ij + (1-alpha)/2 l_i l_j) l_k]."""
-    family.validate(pt)
-    w = 0.5 * (1.0 - alpha)
-
-    def integrand(x):
-        l1 = family.score(pt, x)
-        l2 = family.logp_hessian(pt, x)
-        return (l2 + w * np.outer(l1, l1))[:, :, None] * l1[None, None, :]
-
-    return family.expect(pt, integrand)
+    """Lower-index coefficients Gamma^(alpha)_{ij,k}, components[i, j, k]."""
+    return _first_kind(family, pt, alpha, *_natural_frame(family, pt))
 
 
 def christoffel(
     family: DistributionFamily, pt: ParameterPoint, alpha: float
 ) -> ChristoffelArray:
-    """Alpha-connection coefficients Gamma^i_{jk} in the chart of pt."""
-    lower = christoffel_first_kind(family, pt, alpha)
-    g = fisher_metric(family, pt).components
-    ginv = np.linalg.inv(g)
-    comps = np.einsum("il,jkl->ijk", ginv, lower)
+    """Alpha-connection coefficients Gamma^i_{jk} = g^il Gamma_{jk,l} in the chart of pt."""
+    theta, jac, psi2 = _natural_frame(family, pt)
+    lower = _first_kind(family, pt, alpha, theta, jac, psi2)
+    d = jac.shape[1]
+    comps = np.linalg.solve(_pullback(jac, psi2), lower.reshape(d * d, d).T).reshape(d, d, d)
     return ChristoffelArray(pt.chart, pt, float(alpha), comps)
 
 
@@ -278,7 +298,7 @@ def divergence_hessians(family: DistributionFamily, pt: ParameterPoint):
     family.validate(pt)
     u = pt.coords
     d = u.size
-    h = _fd_step(u, power=0.25)
+    h = np.maximum(1.0, np.abs(u)) * np.finfo(float).eps ** 0.25
 
     def kl_at(x, y):
         return family.kl(ParameterPoint(pt.chart, x), ParameterPoint(pt.chart, y))

@@ -4,7 +4,9 @@ All lengths are composite-trapezoid quadratures of sqrt(v^T G v) along a
 sampled path, with velocities from second-order finite differences on the
 parameter grid.  Geodesics are straight segments in the flat chart for
 alpha = +/-1 and a shooting RK4 integration of the Levi-Civita geodesic
-equation for alpha = 0.
+equation for alpha = 0, with closed-form Christoffel symbols at every
+stage.  A shot that leaves the chart's domain or meets a singular or
+overflowing metric is a NonConvergenceError, like a shot that misses.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .distributions import (
     MEAN,
     NATURAL,
     DistributionFamily,
+    InvalidParameterError,
     ParameterPoint,
 )
 from .errors import NonConvergenceError
@@ -214,14 +217,12 @@ def geodesic(
     if np.allclose(x0, x1):
         return ParamPath(chart, np.tile(x0, (count, 1)))
 
-    def gamma_at(x):
-        return christoffel(family, ParameterPoint(chart, x), 0.0).components
+    d = x0.size
 
     def rhs(state):
-        d = x0.size
         x, v = state[:d], state[d:]
-        acc = -np.einsum("ijk,j,k->i", gamma_at(x), v, v)
-        return np.concatenate([v, acc])
+        gamma = christoffel(family, ParameterPoint(chart, x), 0.0).components
+        return np.concatenate([v, -(gamma @ v) @ v])
 
     def integrate(v0):
         state = np.concatenate([x0, v0])
@@ -233,16 +234,37 @@ def geodesic(
             k3 = rhs(state + 0.5 * h * k2)
             k4 = rhs(state + h * k3)
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            traj.append(state[: x0.size].copy())
+            traj.append(state[:d].copy())
         return np.stack(traj)
 
-    def miss(v0):
-        return integrate(v0)[-1] - x1
+    # The last trial's velocity, trajectory and miss: root usually returns the
+    # velocity it tried last, whose trajectory then needs no re-integration.
+    last = {"v0": None, "traj": None, "miss": float("nan"), "nfev": 0}
 
-    sol = root(miss, x1 - x0, method="hybr", tol=tol * 1e-2)
-    if not sol.success or np.max(np.abs(miss(sol.x))) > tol:
-        raise NonConvergenceError("geodesic shooting did not converge")
-    traj = integrate(sol.x)
+    def miss(v0):
+        last["nfev"] += 1
+        traj = integrate(v0)
+        last["v0"], last["traj"] = v0.copy(), traj
+        last["miss"] = float(np.max(np.abs(traj[-1] - x1)))
+        return traj[-1] - x1
+
+    try:
+        # a trial velocity may carry the path out of the chart's domain or
+        # into a singular or overflowing metric: that is a failed shot
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            sol = root(miss, x1 - x0, method="hybr", tol=tol * 1e-2)
+    except (InvalidParameterError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise NonConvergenceError(
+            f"geodesic shooting failed in integration {last['nfev']}, "
+            f"last miss {last['miss']:.3g}: {exc}"
+        ) from exc
+    residual = float(np.max(np.abs(sol.fun)))
+    if not sol.success or residual > tol:
+        raise NonConvergenceError(
+            f"geodesic shooting did not converge: miss {residual:.3g} "
+            f"after {sol.nfev} integrations"
+        )
+    traj = last["traj"] if np.array_equal(last["v0"], sol.x) else integrate(sol.x)
     ts = np.linspace(0.0, 1.0, steps + 1)
     if count != steps + 1:
         tq = np.linspace(0.0, 1.0, count)

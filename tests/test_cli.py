@@ -153,3 +153,21 @@ def test_nonconvergence_exits_3(monkeypatch, capsys):
     assert cli.main(["string", "--A", "1", "--fs", "1", "--x", "1.0"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: numerics: ")
+
+
+def test_singular_geodesic_exits_3(tmp_path, capsys):
+    argv = ["geodesic", "--family", "bernoulli", "--chart", "natural", "--a", "-30", "--b", "30", "--alpha", "0"]
+    code, _ = run(argv, tmp_path)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: numerics: ")
+
+
+def test_wide_bernoulli_geodesic_exits_3_or_joins_endpoints(tmp_path, capsys):
+    argv = ["geodesic", "--family", "bernoulli", "--chart", "mean", "--a", "0.1", "--b", "0.9", "--alpha", "0"]
+    code, data = run(argv, tmp_path)
+    if code == 0:
+        rows = tables.from_csv(data).rows
+        assert abs(rows[0][1] - 0.1) < 1e-12 and abs(rows[-1][1] - 0.9) < 1e-6
+    else:
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: numerics: ")

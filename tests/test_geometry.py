@@ -9,12 +9,104 @@ from dualgeo.distributions import (
     Bernoulli,
     Categorical,
     Gaussian1D,
+    InvalidParameterError,
     ParameterPoint,
     point,
 )
 from dualgeo import geometry as G
+from dualgeo import lengths as L
 
 RNG = np.random.default_rng(20240818)
+
+# One interior point per family and chart.
+CHART_POINTS = [
+    (Bernoulli(), point(MEAN, 0.3)),
+    (Bernoulli(), point(NATURAL, -0.8)),
+    (Categorical(3), point(MEAN, 0.2, 0.5)),
+    (Categorical(3), point(NATURAL, 0.3, -0.4)),
+    (Categorical(4), point(MEAN, 0.1, 0.2, 0.3)),
+    (Categorical(4), point(NATURAL, 0.3, -0.2, 0.5)),
+    (Gaussian1D(), point(RAW, 0.4, 1.3)),
+    (Gaussian1D(), point(NATURAL, 0.7, -0.4)),
+    (Gaussian1D(), point(MEAN, 0.2, 1.1)),
+]
+CHART_IDS = [f"{type(f).__name__}{f.dim}-{p.chart}" for f, p in CHART_POINTS]
+
+
+# -- quadrature oracles -------------------------------------------------
+# Score-moment definitions of the metric and the connections, evaluated by
+# each family's expectation (exact sums, or Gauss-Hermite quadrature that is
+# exact for the Gaussian's polynomial integrands).  The second derivative of
+# the chart map comes from extrapolated central differences of the analytic
+# Jacobian, so the oracle shares no term with the closed forms but psi''.
+
+
+def ridders(diff, h, shrink=2.0, levels=14):
+    """Ridders' extrapolation of diff(h) to h -> 0: the tableau entry with the
+    smallest error estimate (Press et al., Numerical Recipes, section 5.7)."""
+    prev = [diff(h)]
+    best, err = prev[0], np.inf
+    for _ in range(1, levels):
+        h /= shrink
+        row = [diff(h)]
+        f = shrink**2
+        for m in range(1, len(prev) + 1):
+            row.append((f * row[m - 1] - prev[m - 1]) / (f - 1.0))
+            f *= shrink**2
+            e = max(np.max(np.abs(row[m] - row[m - 1])), np.max(np.abs(row[m] - prev[m - 1])))
+            if e <= err:
+                best, err = row[m], e
+        if np.max(np.abs(row[-1] - prev[-1])) >= 2.0 * err:
+            break
+        prev = row
+    return best
+
+
+def fd_natural_hessian(fam, pt):
+    """H[a, i, j] = d^2 theta_a / d u_i d u_j by differences of the Jacobian."""
+    u = pt.coords
+    d = u.size
+
+    def jac(v):
+        return fam._natural_jacobian(ParameterPoint(pt.chart, v))
+
+    def inside(v):
+        try:
+            fam.validate(ParameterPoint(pt.chart, v))
+        except InvalidParameterError:
+            return False
+        return True
+
+    cols = []
+    for j in range(d):
+        e = np.eye(d)[j]
+        # first step well inside the chart's domain, so the tableau starts smooth
+        h = 0.1 * (abs(u[j]) or 1.0)
+        while not (inside(u + 8.0 * h * e) and inside(u - 8.0 * h * e)):
+            h /= 2.0
+        cols.append(ridders(lambda h: (jac(u + h * e) - jac(u - h * e)) / (2.0 * h), h))
+    return np.stack(cols, axis=-1)
+
+
+def oracle_fisher(fam, pt):
+    """E[score score^T]."""
+    return fam.expect(pt, lambda x: np.outer(fam.score(pt, x), fam.score(pt, x)))
+
+
+def oracle_connection_moments(fam, pt):
+    """E[l_ij l_k] and E[l_i l_j l_k]; Gamma^(alpha)_{ij,k} = first + (1-alpha)/2 second."""
+    theta = fam.convert(pt, NATURAL).coords
+    jac = fam._natural_jacobian(pt)
+    hess = fd_natural_hessian(fam, pt)
+    l2_natural = -jac.T @ fam.hess_potential(theta) @ jac
+
+    def moments(x):
+        s = fam._score_natural(theta, x)
+        l1 = jac.T @ s
+        l2 = l2_natural + np.einsum("aij,a->ij", hess, s)
+        return np.stack([l2[:, :, None] * l1, np.einsum("i,j,k->ijk", l1, l1, l1)])
+
+    return fam.expect(pt, moments)
 
 
 # -- Fisher metrics -----------------------------------------------------
@@ -146,6 +238,73 @@ def test_dual_metrics_product_identity():
 
 
 # -- Connections --------------------------------------------------------
+
+
+def check_against_oracles(fam, pt):
+    """Metric, lower- and upper-index connections against the quadrature
+    oracles, to 1e-10 relative to the larger of the tensors compared."""
+    g = oracle_fisher(fam, pt)
+    assert np.max(np.abs(G.fisher_metric(fam, pt).components - g)) <= 1e-10 * np.max(np.abs(g))
+    bend, skew = oracle_connection_moments(fam, pt)
+    scale = max(np.max(np.abs(bend)), np.max(np.abs(skew)))
+    for alpha in (-1.0, 0.0, 0.4, 1.0):
+        oracle = bend + 0.5 * (1.0 - alpha) * skew
+        lower = G.christoffel_first_kind(fam, pt, alpha)
+        assert np.max(np.abs(lower - oracle)) <= 1e-10 * scale, alpha
+        upper = G.christoffel(fam, pt, alpha).components
+        assert np.max(np.abs(np.einsum("il,ijk->jkl", g, upper) - oracle)) <= 1e-10 * scale, alpha
+
+
+@pytest.mark.parametrize("fam, pt", CHART_POINTS, ids=CHART_IDS)
+def test_closed_forms_match_quadrature_oracles(fam, pt):
+    check_against_oracles(fam, pt)
+
+
+def random_chart_points(count):
+    """Interior points over wide ranges: Bernoulli means in [0.02, 0.98],
+    Categorical weights U(0.05, 1) normalised, Gaussian mu in [-3, 3] and
+    sigma in [0.2, 4]; each in every chart of its family."""
+    out = []
+    for _ in range(count):
+        eta = RNG.uniform(0.02, 0.98)
+        out.append((Bernoulli(), point(MEAN, eta)))
+        for k in (3, 4):
+            w = RNG.uniform(0.05, 1.0, k)
+            out.append((Categorical(k), ParameterPoint(MEAN, w[:-1] / w.sum())))
+        out.append((Gaussian1D(), point(RAW, RNG.uniform(-3.0, 3.0), RNG.uniform(0.2, 4.0))))
+    return [(f, f.convert(p, c)) for f, p in out for c in f.charts]
+
+
+def test_closed_forms_match_quadrature_oracles_at_random_points():
+    for fam, pt in random_chart_points(8):
+        check_against_oracles(fam, pt)
+
+
+def test_flat_charts_have_vanishing_connections():
+    for fam, pt in CHART_POINTS:
+        if pt.chart == NATURAL:
+            # H = 0 and the cubic term carries (1 - alpha)/2 = 0: exactly zero
+            assert not np.any(G.christoffel(fam, pt, 1.0).components)
+        elif pt.chart == MEAN:
+            # the chart's bending cancels the cubic term up to rounding
+            scale = np.max(np.abs(G.christoffel(fam, pt, 1.0).components))
+            assert np.max(np.abs(G.christoffel(fam, pt, -1.0).components)) <= 1e-14 * scale
+
+
+def test_metric_and_connections_take_no_expectations(monkeypatch):
+    def quadrature(*args, **kwargs):
+        raise AssertionError("expectation on the hot path")
+
+    for cls in (Bernoulli, Categorical, Gaussian1D):
+        for name in ("expect", "score", "logp_hessian"):
+            monkeypatch.setattr(cls, name, quadrature)
+    for fam, pt in CHART_POINTS:
+        G.fisher_metric(fam, pt)
+        for alpha in (-1.0, 0.0, 1.0):
+            G.christoffel(fam, pt, alpha)
+    fam = Gaussian1D()
+    path = L.geodesic(fam, RAW, point(RAW, 0.0, 1.0), point(RAW, 0.5, 1.5), 0, count=9, steps=8)
+    assert np.allclose(path.samples[-1], [0.5, 1.5], atol=1e-6)
 
 
 def test_e_connection_flat_in_natural_chart():
