@@ -21,17 +21,33 @@ class DegenerateStateError(ValueError):
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Smooth map from m parameters to a normalized pure state."""
+    """Smooth map from m parameters to a normalized pure state.
+
+    The evaluator is component-first: it takes an array of shape
+    (m, *batch), whose leading axis holds the parameter components, and
+    returns the state vectors as an array of shape (d, *batch).  The batch
+    shape may be empty (one point).
+    """
 
     dim_param: int
-    evaluator: object  # callable: (m,) array -> complex state vector
+    evaluator: object  # callable: (m, *batch) array -> (d, *batch) complex array
 
-    def state(self, params) -> np.ndarray:
-        v = np.asarray(self.evaluator(np.asarray(params, dtype=float)), dtype=complex)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-12:
+    def states(self, points) -> np.ndarray:
+        """States at points of shape (..., m), as an array of shape (..., d)."""
+        p = np.asarray(points, dtype=float)
+        if p.ndim == 0 or p.shape[-1] != self.dim_param:
+            raise ValueError(f"points must have a last axis of length {self.dim_param}")
+        v = np.asarray(self.evaluator(np.moveaxis(p, -1, 0)), dtype=complex)
+        if v.shape[1:] != p.shape[:-1]:
+            raise ValueError("state family evaluator must map (m, *batch) to (d, *batch)")
+        v = np.moveaxis(v, 0, -1)
+        if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-12):
             raise ValueError("state family evaluator must return normalized states")
         return v
+
+    def state(self, params) -> np.ndarray:
+        """The state at one point of shape (m,): the single-point case of states."""
+        return self.states(params)
 
 
 def spin_half() -> StateFamily:
@@ -45,8 +61,13 @@ def spin_half() -> StateFamily:
 
 
 def with_gauge(family: StateFamily, alpha_fn) -> StateFamily:
-    """Multiply the family by a smooth phase e^{i alpha(R)} (gauge change)."""
-    return StateFamily(family.dim_param, lambda p: np.exp(1j * alpha_fn(p)) * family.state(p))
+    """Multiply the family by a smooth phase e^{i alpha(R)} (gauge change).
+
+    alpha_fn follows the evaluator contract: (m, *batch) -> (*batch).
+    """
+    return StateFamily(
+        family.dim_param, lambda p: np.exp(1j * alpha_fn(p)) * family.evaluator(p)
+    )
 
 
 @dataclass(frozen=True)
@@ -164,13 +185,11 @@ def berry_phase_loop(family: StateFamily, loop: LoopPath, unwrapped: bool = Fals
     wrapping, so multi-winding loops report their total phase; otherwise
     the principal value in (-pi, pi] is returned.
     """
-    states = [family.state(p) for p in loop.points]
-    total = 0.0
-    for k in range(len(states) - 1):
-        ov = np.vdot(states[k], states[k + 1])
-        if abs(ov) < 1e-12:
-            raise DegenerateStateError("vanishing overlap along loop")
-        total -= np.angle(ov)
+    states = family.states(loop.points)
+    ov = np.sum(states[:-1].conj() * states[1:], axis=-1)
+    if np.any(np.abs(ov) < 1e-12):
+        raise DegenerateStateError("vanishing overlap along loop")
+    total = -float(np.sum(np.angle(ov)))
     return total if unwrapped else principal_phase(total)
 
 
@@ -182,12 +201,7 @@ def winding_count(family: StateFamily, loop: LoopPath) -> int:
 
 def berry_phase_surface(family: StateFamily, mesh: SurfaceMesh, unwrapped: bool = True) -> float:
     """Curvature flux through the mesh as a sum of plaquette phases."""
-    nu1, nv1, _ = mesh.grid.shape
-    probe = family.state(mesh.grid[0, 0])
-    states = np.empty((nu1, nv1, probe.size), dtype=complex)
-    for i in range(nu1):
-        for j in range(nv1):
-            states[i, j] = family.state(mesh.grid[i, j])
+    states = family.states(mesh.grid)
 
     def ov(a, b):
         return np.sum(a.conj() * b, axis=-1)

@@ -6,6 +6,7 @@ angle a is cos(a) sigma_z + sin(a) sigma_x.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -117,10 +118,24 @@ def geometric_correlator(d: JointDistribution) -> float:
     return 1.0 - 2.0 * omega
 
 
-def _correlator_angles(state: BipartiteState, angle_a: float, angle_b: float) -> float:
+def correlation_block(state: BipartiteState) -> np.ndarray:
+    """T[k, l] = <psi| sigma_k (x) sigma_l |psi> for k, l in (z, x).
+
+    Every z-x analyzer correlator is E(a, b) = u(a) T u(b), u(a) = (cos a, sin a).
+    """
+    if state.dims != (2, 2):
+        raise DimensionMismatchError("CHSH engine needs a two-qubit state")
     c = state.amplitudes
-    x = observable(angle_a) @ c @ observable(angle_b).T
-    return float(np.sum(c.conj() * x).real)
+    paulis = (PAULI_Z, PAULI_X)
+    # <psi| A (x) B |psi> = sum conj(C) * (A C B^T)
+    return np.array(
+        [[float(np.sum(c.conj() * (sk @ c @ sl.T)).real) for sl in paulis] for sk in paulis]
+    )
+
+
+def _correlator(t, a, b) -> float:
+    ca, sa, cb, sb = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+    return ca * (t[0][0] * cb + t[0][1] * sb) + sa * (t[1][0] * cb + t[1][1] * sb)
 
 
 def chsh_S(
@@ -130,22 +145,16 @@ def chsh_S(
     b: float,
     b_prime: float,
 ) -> CHSHResult:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b'), with every E read off the
+    correlation block."""
+    if not all(math.isfinite(v) for v in (a, a_prime, b, b_prime)):
+        raise ValueError("setting angle must be finite")
+    t = correlation_block(state).tolist()
     es = {
-        "ab": correlator(
-            joint_distribution(state, MeasurementSetting(a), MeasurementSetting(b, BOB))
-        ),
-        "ab'": correlator(
-            joint_distribution(state, MeasurementSetting(a), MeasurementSetting(b_prime, BOB))
-        ),
-        "a'b": correlator(
-            joint_distribution(state, MeasurementSetting(a_prime), MeasurementSetting(b, BOB))
-        ),
-        "a'b'": correlator(
-            joint_distribution(
-                state, MeasurementSetting(a_prime), MeasurementSetting(b_prime, BOB)
-            )
-        ),
+        "ab": _correlator(t, a, b),
+        "ab'": _correlator(t, a, b_prime),
+        "a'b": _correlator(t, a_prime, b),
+        "a'b'": _correlator(t, a_prime, b_prime),
     }
     s = es["ab"] - es["ab'"] + es["a'b"] + es["a'b'"]
     if abs(s) <= CLASSICAL_BOUND + _REGIME_TOL:
@@ -187,36 +196,61 @@ def loop_excess(state, a, a_prime, b, b_prime) -> float:
     return max(0.0, abs(res.s_value) - CLASSICAL_BOUND)
 
 
+_TIE_TOL = 1e-12
+
+
+def _scan_grid(e: np.ndarray):
+    """Grid optimum of |S| over index quadruples of the correlator grid e.
+
+    S = (E[a,b] + E[a',b]) + (E[a',b'] - E[a,b']) separates in b and b', so
+    for each a the best over (b, b') is a row maximum (or minimum) of two
+    N x N blocks: O(N^3) time and O(N^2) memory.
+    """
+    n = e.shape[0]
+    best = np.empty((n, n))  # best[a, a'] = max |S| over (b, b')
+    for ia in range(n):
+        plus = e + e[ia]  # [a', b] -> E[a,b] + E[a',b]
+        minus = e - e[ia]  # [a', b'] -> E[a',b'] - E[a,b']
+        np.maximum(
+            plus.max(axis=1) + minus.max(axis=1),
+            -(plus.min(axis=1) + minus.min(axis=1)),
+            out=best[ia],
+        )
+    threshold = best.max() - _TIE_TOL
+    ia, iap = divmod(int(np.argmax(best >= threshold)), n)
+    s_block = np.abs((e[ia] + e[iap])[:, None] + (e[iap] - e[ia])[None, :])
+    ib, ibp = divmod(int(np.argmax(s_block >= threshold)), n)
+    return ia, iap, ib, ibp
+
+
 def tsirelson_scan(state: BipartiteState, grid_size: int) -> ScanTable:
     """Grid scan of |S| over the four settings followed by local refinement.
 
-    Returns a table with the grid optimum and the refined optimum; the
-    refined row carries the reported maximum.
+    The grid holds grid_size equally spaced angles in [0, 2 pi) for each
+    setting. Its optimum is the lexicographically smallest index quadruple
+    (a, a', b, b') whose |S| lies within 1e-12 of the grid maximum, so the
+    choice does not depend on the rounding of near-equal maxima. Nelder-Mead
+    refines it from there. Returns a table with the grid optimum and the
+    refined optimum; the refined row carries the reported maximum.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
+    t = correlation_block(state)
     angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-    e = np.empty((grid_size, grid_size))
-    for i, aa in enumerate(angles):
-        for j, bb in enumerate(angles):
-            e[i, j] = _correlator_angles(state, aa, bb)
-    s4 = (
-        e[:, None, :, None]
-        - e[:, None, None, :]
-        + e[None, :, :, None]
-        + e[None, :, None, :]
-    )
-    flat = np.argmax(np.abs(s4))
-    ia, iap, ib, ibp = np.unravel_index(flat, s4.shape)
+    u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    e = u @ t @ u.T  # e[i, j] = E(angles[i], angles[j])
+    ia, iap, ib, ibp = _scan_grid(e)
     grid_settings = np.array([angles[ia], angles[iap], angles[ib], angles[ibp]])
-    grid_s = float(s4[ia, iap, ib, ibp])
+    grid_s = float(e[ia, ib] - e[ia, ibp] + e[iap, ib] + e[iap, ibp])
+    tl = t.tolist()
 
     def neg_abs(x):
+        a, a_prime, b, b_prime = x.tolist()
         return -abs(
-            _correlator_angles(state, x[0], x[2])
-            - _correlator_angles(state, x[0], x[3])
-            + _correlator_angles(state, x[1], x[2])
-            + _correlator_angles(state, x[1], x[3])
+            _correlator(tl, a, b)
+            - _correlator(tl, a, b_prime)
+            + _correlator(tl, a_prime, b)
+            + _correlator(tl, a_prime, b_prime)
         )
 
     opt = minimize(

@@ -37,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError("args", message)
 
 
+# Size limits that keep every accepted berry/chsh input within bounded memory.
+MAX_SCAN = 1024
+MAX_SEGMENTS = 10**6
+MAX_MESH_POINTS = 2**20
+
+
+def _check_range(field, value, lo, hi):
+    if not lo <= value <= hi:
+        raise _CliError(field, f"must lie in [{lo}, {hi}], got {value}")
+
+
 def _floats(text):
     try:
         return np.array([float(v) for v in text.split(",")], dtype=float)
@@ -152,6 +163,14 @@ def _cmd_berry(args):
     if args.family_id != "spin-half":
         raise _CliError("family-id", f"unknown state family {args.family_id!r}")
     fam = berry.spin_half()
+    _check_range("segments", args.segments, 8, MAX_SEGMENTS)
+    _check_range("surface-nu", args.surface_nu, 1, MAX_MESH_POINTS)
+    _check_range("surface-nv", args.surface_nv, 1, MAX_MESH_POINTS)
+    points = (args.surface_nu + 1) * (args.surface_nv + 1)
+    if points > MAX_MESH_POINTS:
+        raise _CliError(
+            "surface-mesh", f"(surface-nu + 1) * (surface-nv + 1) = {points} exceeds {MAX_MESH_POINTS}"
+        )
     theta_c = _angle(args.theta_c, args.deg)
     loop = berry.latitude_loop(theta_c, args.segments)
     loop_phase = berry.berry_phase_loop(fam, loop, unwrapped=True)
@@ -177,6 +196,7 @@ def _make_state(args):
 def _cmd_chsh(args):
     state = _make_state(args)
     if args.scan is not None:
+        _check_range("scan", args.scan, 8, MAX_SCAN)
         table = chsh.tsirelson_scan(state, args.scan)
         table.meta.update(_meta(args, "chsh_scan"))
         return _emit(args, table)
@@ -314,9 +334,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("berry")
     p.add_argument("--family", "--family-id", dest="family_id", default="spin-half")
     p.add_argument("--theta-c", dest="theta_c", type=float, required=True)
-    p.add_argument("--segments", type=int, default=2000)
-    p.add_argument("--surface-nu", dest="surface_nu", type=int, default=128)
-    p.add_argument("--surface-nv", dest="surface_nv", type=int, default=256)
+    p.add_argument("--segments", type=int, default=2000, help=f"loop segments, 8 to {MAX_SEGMENTS}")
+    mesh_help = f"(surface-nu + 1) * (surface-nv + 1) at most {MAX_MESH_POINTS}"
+    p.add_argument("--surface-nu", dest="surface_nu", type=int, default=128, help=f"theta cells; {mesh_help}")
+    p.add_argument("--surface-nv", dest="surface_nv", type=int, default=256, help=f"phi cells; {mesh_help}")
     common(p)
     p.set_defaults(func=_cmd_berry)
 
@@ -324,7 +345,7 @@ def build_parser() -> _Parser:
     p.add_argument("--state", default="singlet", choices=("singlet", "product", "partial"))
     p.add_argument("--weight", type=float, default=None)
     p.add_argument("--settings", default=None)
-    p.add_argument("--scan", type=int, default=None)
+    p.add_argument("--scan", type=int, default=None, help=f"grid angles per setting, 8 to {MAX_SCAN}")
     common(p)
     p.set_defaults(func=_cmd_chsh)
 

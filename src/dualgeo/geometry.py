@@ -49,7 +49,9 @@ class MetricTensor:
     def __post_init__(self):
         c = np.asarray(self.components, dtype=float)
         object.__setattr__(self, "components", c)
-        if not np.allclose(c, c.T, atol=1e-12):
+        if not np.isfinite(c).all():
+            raise DegenerateMetricError("metric components must be finite")
+        if not (np.abs(c - c.T) <= 1e-12 + 1e-5 * np.abs(c.T)).all():
             raise DegenerateMetricError("metric components must be symmetric")
 
 

@@ -10,6 +10,37 @@ def solid_angle_phase(theta_c):
     return -np.pi * (1.0 - np.cos(theta_c))
 
 
+def loop_phase_reference(family, loop):
+    """Per-point reference: one state call and one overlap per loop point."""
+    states = [family.state(p) for p in loop.points]
+    total = 0.0
+    for k in range(len(states) - 1):
+        total -= np.angle(np.vdot(states[k], states[k + 1]))
+    return total
+
+
+def surface_flux_reference(family, mesh):
+    """Per-point reference: plaquette phases summed cell by cell."""
+    nu1, nv1, _ = mesh.grid.shape
+    states = [[family.state(mesh.grid[i, j]) for j in range(nv1)] for i in range(nu1)]
+    total = 0.0
+    for i in range(nu1 - 1):
+        for j in range(nv1 - 1):
+            prod = (
+                np.vdot(states[i][j], states[i + 1][j])
+                * np.vdot(states[i + 1][j], states[i + 1][j + 1])
+                * np.vdot(states[i + 1][j + 1], states[i][j + 1])
+                * np.vdot(states[i][j + 1], states[i][j])
+            )
+            total -= np.angle(prod)
+    return total
+
+
+def two_level(k):
+    """(cos k u, sin k u): neighbours a quarter period apart are orthogonal."""
+    return B.StateFamily(2, lambda p: np.array([np.cos(k * p[0]), np.sin(k * p[0])], dtype=complex))
+
+
 # -- state families -----------------------------------------------------
 
 
@@ -23,6 +54,34 @@ def test_state_family_rejects_unnormalized():
     fam = B.StateFamily(1, lambda p: np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         fam.state([0.0])
+
+
+def test_batched_states_match_single_points():
+    fam = B.spin_half()
+    pts = np.random.default_rng(3).uniform(0.0, 3.0, size=(4, 5, 2))
+    batch = fam.states(pts)
+    assert batch.shape == (4, 5, 2)
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(batch[idx], fam.state(pts[idx]))
+
+
+def test_states_reject_unnormalized_batch_member():
+    # normalized everywhere except at u = 0.5
+    fam = B.StateFamily(
+        1, lambda p: np.array([np.ones_like(p[0]), 1j * (p[0] == 0.5)], dtype=complex)
+    )
+    fam.states(np.array([[0.1], [0.2]]))
+    with pytest.raises(ValueError):
+        fam.states(np.array([[0.1], [0.5], [0.2]]))
+
+
+def test_states_reject_evaluator_ignoring_batch():
+    fam = B.StateFamily(1, lambda p: np.array([1.0, 0.0]))
+    assert np.array_equal(fam.state([0.3]), [1.0, 0.0])
+    with pytest.raises(ValueError):
+        fam.states(np.zeros((5, 1)))
+    with pytest.raises(ValueError):
+        fam.states(np.zeros((5, 2)))  # wrong number of parameters
 
 
 # -- connection / curvature oracles -------------------------------------
@@ -125,6 +184,27 @@ def test_winding_count():
     assert B.winding_count(fam, B.latitude_loop(0.5, 2000)) == 0
 
 
+@pytest.mark.parametrize("theta_c, segments", [(0.4, 16), (np.pi / 2, 256), (2.5, 2000)])
+def test_loop_phase_matches_per_point_reference(theta_c, segments):
+    loop = B.latitude_loop(theta_c, segments)
+    for fam in (B.spin_half(), B.with_gauge(B.spin_half(), lambda p: np.cos(p[0]) * np.sin(2.0 * p[1]))):
+        ref = loop_phase_reference(fam, loop)
+        assert abs(B.berry_phase_loop(fam, loop, unwrapped=True) - ref) < 1e-12
+
+
+def test_loop_vanishing_overlap_detected():
+    h = np.pi / 2.0
+    loop = B.LoopPath(np.array([[0.0, 0.0], [h, 0.0]] * 4 + [[0.0, 0.0]]))
+    with pytest.raises(B.DegenerateStateError):
+        B.berry_phase_loop(two_level(1.0), loop)
+
+
+def test_loop_rejects_unnormalized_state():
+    fam = B.StateFamily(2, lambda p: np.array([np.ones_like(p[0]), np.zeros_like(p[1]) + 0.1]))
+    with pytest.raises(ValueError):
+        B.berry_phase_loop(fam, B.latitude_loop(1.0, 16))
+
+
 # -- surfaces -----------------------------------------------------------
 
 
@@ -161,3 +241,23 @@ def test_principal_phase_branch():
     assert abs(B.principal_phase(3.0 * np.pi) - np.pi) < 1e-12
     assert abs(B.principal_phase(-np.pi) - np.pi) < 1e-12
     assert abs(B.principal_phase(0.3) - 0.3) < 1e-15
+
+
+@pytest.mark.parametrize("theta_c, nu, nv", [(0.7, 4, 8), (np.pi / 2, 16, 32), (2.9, 32, 64)])
+def test_surface_flux_matches_per_point_reference_and_is_gauge_invariant(theta_c, nu, nv):
+    mesh = B.polar_cap(theta_c, nu, nv)
+    fam = B.spin_half()
+    gauged = B.with_gauge(fam, lambda p: 1.3 * np.sin(p[0]) + 0.4 * np.sin(p[1]))
+    flux = B.berry_phase_surface(fam, mesh)
+    assert abs(flux - surface_flux_reference(fam, mesh)) < 1e-12
+    assert abs(B.berry_phase_surface(gauged, mesh) - surface_flux_reference(gauged, mesh)) < 1e-12
+    assert abs(B.berry_phase_surface(gauged, mesh) - flux) < 1e-10
+
+
+def test_surface_vanishing_overlap_detected():
+    grid = np.zeros((2, 9, 2))
+    grid[1, :, 0] = np.pi / 2.0
+    grid[:, :, 1] = np.linspace(0.0, 2.0 * np.pi, 9)[None, :]
+    grid[:, -1, :] = grid[:, 0, :]
+    with pytest.raises(B.DegenerateStateError):
+        B.berry_phase_surface(two_level(1.0), B.SurfaceMesh(grid))

@@ -1,4 +1,6 @@
 """Joint distributions, correlators, CHSH, and the Tsirelson scan."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,45 @@ RNG = np.random.default_rng(20240821)
 A_OPT = (0.0, np.pi / 2.0, np.pi / 4.0, 3.0 * np.pi / 4.0)
 
 
-def random_two_qubit():
-    a = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
+def random_two_qubit(rng=RNG):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     a /= np.linalg.norm(a)
     return BipartiteState(a)
+
+
+def observable_correlator(state, angle_a, angle_b):
+    """Oracle: E(a, b) = <psi| O(a) (x) O(b) |psi> from the 2x2 observables."""
+    c = state.amplitudes
+    x = C.observable(angle_a) @ c @ C.observable(angle_b).T
+    return float(np.sum(c.conj() * x).real)
+
+
+def horodecki_max(state):
+    """Largest |S| over z-x analyzers: 2 sqrt(s1^2 + s2^2), s the singular
+    values of the z-x correlation block (Horodecki et al., Phys. Lett. A 200, 1995)."""
+    z, x = 0.0, np.pi / 2.0
+    t = np.array([[observable_correlator(state, k, l) for l in (z, x)] for k in (z, x)])
+    s = np.linalg.svd(t, compute_uv=False)
+    return 2.0 * np.sqrt(s[0] ** 2 + s[1] ** 2)
+
+
+def brute_force_grid_argmax(state, n):
+    """Oracle: the full N^4 |S| tensor; the lexicographically smallest index
+    quadruple within 1e-12 of its maximum."""
+    angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    e = np.array([[observable_correlator(state, a, b) for b in angles] for a in angles])
+    s4 = np.abs(
+        e[:, None, :, None] - e[:, None, None, :] + e[None, :, :, None] + e[None, :, None, :]
+    )
+    flat = np.argmax(s4 >= s4.max() - 1e-12)
+    return np.unravel_index(flat, s4.shape)
+
+
+def scan_states():
+    rng = np.random.default_rng(5)
+    return [C.singlet(), C.schmidt_pair(0.9), C.product_state()] + [
+        random_two_qubit(rng) for _ in range(3)
+    ]
 
 
 # -- settings and distributions -----------------------------------------
@@ -83,6 +120,22 @@ def test_chsh_product_state_classical():
     assert res.regime == "classical"
 
 
+def test_chsh_correlators_match_observable_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        st = random_two_qubit(rng)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 4)
+        res = C.chsh_S(st, *angles)
+        a, ap, b, bp = angles
+        for key, (x, y) in {"ab": (a, b), "ab'": (a, bp), "a'b": (ap, b), "a'b'": (ap, bp)}.items():
+            assert abs(res.correlators[key] - observable_correlator(st, x, y)) < 1e-12
+
+
+def test_chsh_rejects_non_finite_setting():
+    with pytest.raises(ValueError):
+        C.chsh_S(C.singlet(), 0.0, np.nan, 0.0, 0.0)
+
+
 def test_chsh_correlator_bookkeeping():
     res = C.chsh_S(C.singlet(), *A_OPT)
     s = res.correlators["ab"] - res.correlators["ab'"] + res.correlators["a'b"] + res.correlators["a'b'"]
@@ -148,3 +201,37 @@ def test_scan_table_columns():
     assert len(table.rows) == 2
     # refined row at least as good as the grid row
     assert table.rows[1][5] >= table.rows[0][5] - 1e-12
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_tsirelson_scan_matches_horodecki_closed_form(index):
+    state = scan_states()[index]
+    table = C.tsirelson_scan(state, 24)
+    assert abs(table.meta["max_abs_S"] - horodecki_max(state)) < 1e-12
+
+
+# Odd sizes matter: on an even grid b -> b + pi and a <-> a' map every S to
+# -S, so a scan that ignored the sign of S or the order of (a, a') would pass.
+@pytest.mark.parametrize("n", (8, 9, 12, 13, 24))
+def test_grid_optimum_matches_brute_force_tie_rule(n):
+    angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    for state in scan_states():
+        idx = brute_force_grid_argmax(state, n)
+        grid_row = C.tsirelson_scan(state, n).rows[0]
+        assert grid_row[:4] == [angles[i] for i in idx]
+
+
+def test_tsirelson_scan_memory_is_quadratic():
+    tracemalloc.start()
+    try:
+        C.tsirelson_scan(C.schmidt_pair(0.7), 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the N^4 tensor alone would take 2 GiB at N = 128
+    assert peak < 5 * 2**20
+
+
+def test_tsirelson_scan_needs_two_qubits():
+    with pytest.raises(DimensionMismatchError):
+        C.tsirelson_scan(BipartiteState(np.eye(3) / np.sqrt(3.0)), 8)

@@ -54,6 +54,13 @@ def test_subcommand_deterministic(name, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subcommand_clean_under_runtime_warning_error(name, tmp_path):
+    code, _ = run(INVOCATIONS[name], tmp_path)
+    assert code == 0
+
+
 def test_json_output_carries_provenance(tmp_path):
     code, data = run(INVOCATIONS["fisher"] + ["--format", "json"], tmp_path)
     assert code == 0
@@ -171,3 +178,33 @@ def test_wide_bernoulli_geodesic_exits_3_or_joins_endpoints(tmp_path, capsys):
     else:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: numerics: ")
+
+
+BERRY = ["berry", "--theta-c", "1.0"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["chsh", "--state", "singlet", "--scan", str(cli.MAX_SCAN + 1)], "scan"),
+        (["chsh", "--state", "singlet", "--scan", "4"], "scan"),
+        (BERRY + ["--segments", str(cli.MAX_SEGMENTS + 1)], "segments"),
+        (BERRY + ["--segments", "-5"], "segments"),
+        (BERRY + ["--surface-nu", str(cli.MAX_MESH_POINTS + 1)], "surface-nu"),
+        (BERRY + ["--surface-nv", "0"], "surface-nv"),
+        (BERRY + ["--surface-nu", "1023", "--surface-nv", "1024"], "surface-mesh"),
+        (BERRY + ["--surface-nu", "4096"], "surface-mesh"),
+    ],
+)
+def test_scan_and_mesh_sizes_bounded(argv, field, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_largest_mesh_accepted(tmp_path):
+    # (1023 + 1) * (1023 + 1) = 2^20 mesh points is the largest accepted surface
+    argv = BERRY + ["--segments", "8", "--surface-nu", "1023", "--surface-nv", "1023"]
+    code, data = run(argv, tmp_path)
+    assert code == 0
+    row = dict(zip(("loop_phase", "surface_flux"), tables.from_csv(data).rows[0]))
+    assert abs(row["surface_flux"] - (-np.pi * (1.0 - np.cos(1.0)))) < 1e-5

@@ -154,6 +154,21 @@ def test_metric_tensor_requires_symmetry():
         G.MetricTensor(MEAN, point(MEAN, 0.5), np.array([[1.0, 0.2], [0.1, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metric_tensor_requires_finite_components(bad):
+    with pytest.raises(G.DegenerateMetricError, match="finite"):
+        G.MetricTensor(MEAN, point(MEAN, 0.5), np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(G.DegenerateMetricError, match="finite"):
+        G.MetricTensor(MEAN, point(MEAN, 0.5), np.array([[1.0, bad], [bad, 1.0]]))
+
+
+def test_metric_tensor_symmetry_tolerance():
+    # |c - c^T| <= 1e-12 + 1e-5 |c^T| elementwise, as np.allclose(c, c.T, atol=1e-12)
+    G.MetricTensor(MEAN, point(MEAN, 0.5), np.array([[1.0, 1e3 + 5e-3], [1e3, 1.0]]))
+    with pytest.raises(G.DegenerateMetricError, match="symmetric"):
+        G.MetricTensor(MEAN, point(MEAN, 0.5), np.array([[1.0, 1e3 + 2e-2], [1e3, 1.0]]))
+
+
 # -- Legendre duality ---------------------------------------------------
 
 
