@@ -37,10 +37,15 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError("args", message)
 
 
-# Size limits that keep every accepted berry/chsh input within bounded memory.
+# Size limits that keep every accepted input within bounded memory.
 MAX_SCAN = 1024
 MAX_SEGMENTS = 10**6
 MAX_MESH_POINTS = 2**20
+MAX_COUNT = 2**16
+MAX_NODES = 10**5
+MAX_K = 64
+# lengths holds a few (count, d, d) metric arrays: count * d^2 at most this
+MAX_LENGTH_GRID = 2**20
 
 
 def _check_range(field, value, lo, hi):
@@ -62,6 +67,7 @@ def _family(args):
     if name == "bernoulli":
         return Bernoulli()
     if name == "categorical":
+        _check_range("k", args.k, 2, MAX_K)
         return Categorical(args.k)
     raise _CliError("family", f"unknown family {name!r}")
 
@@ -142,6 +148,10 @@ def _cmd_divergence(args):
 
 def _cmd_lengths(args):
     fam = _family(args)
+    _check_range("count", args.count, 2, MAX_COUNT)
+    grid = args.count * fam.dim**2
+    if grid > MAX_LENGTH_GRID:
+        raise _CliError("count", f"count * dim^2 = {grid} exceeds {MAX_LENGTH_GRID}")
     path = lengths.ParamPath.straight(args.chart, _floats(args.start), _floats(args.end), args.count)
     rep = lengths.length_report(path, fam)
     cols = ("primal", "dual", "harmonic", "divergence_based", "grid_size")
@@ -151,6 +161,7 @@ def _cmd_lengths(args):
 
 def _cmd_geodesic(args):
     fam = _family(args)
+    _check_range("count", args.count, 2, MAX_COUNT)
     a = ParameterPoint(args.chart, _floats(args.a))
     b = ParameterPoint(args.chart, _floats(args.b))
     path = lengths.geodesic(fam, args.chart, a, b, args.alpha, count=args.count)
@@ -228,6 +239,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_membrane(args):
+    _check_range("nodes", args.nodes, 16, MAX_NODES)
     prob = continuum.MembraneProblem(args.tension, args.pressure, args.radius, args.nodes)
     field = continuum.membrane_solve(prob)
     exact = [continuum.membrane_closed_form(prob, r) for r in field.radii]
@@ -289,14 +301,14 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True, choices=("gaussian", "bernoulli", "categorical"))
     p.add_argument("--chart", default=MEAN, choices=(NATURAL, MEAN, RAW))
     p.add_argument("--point", required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
     common(p)
     p.set_defaults(func=_cmd_fisher)
 
     p = sub.add_parser("legendre")
     p.add_argument("--family", required=True, choices=("gaussian", "bernoulli", "categorical", "quadratic"))
     p.add_argument("--theta", required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
     common(p)
     p.set_defaults(func=_cmd_legendre)
 
@@ -306,7 +318,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--r", default=None)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
     common(p)
     p.set_defaults(func=_cmd_divergence)
 
@@ -315,8 +327,11 @@ def build_parser() -> _Parser:
     p.add_argument("--chart", default=MEAN, choices=(NATURAL, MEAN, RAW))
     p.add_argument("--start", required=True)
     p.add_argument("--end", required=True)
-    p.add_argument("--count", type=int, default=129)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument(
+        "--count", type=int, default=129,
+        help=f"path samples, 2 to {MAX_COUNT}; count * dim^2 at most {MAX_LENGTH_GRID} (dim = k - 1 for categorical)",
+    )
+    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
     common(p)
     p.set_defaults(func=_cmd_lengths)
 
@@ -326,8 +341,8 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--alpha", type=int, default=0, choices=(-1, 0, 1))
-    p.add_argument("--count", type=int, default=65)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--count", type=int, default=65, help=f"path samples, 2 to {MAX_COUNT}")
+    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
     common(p)
     p.set_defaults(func=_cmd_geodesic)
 
@@ -359,7 +374,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tension", "--T", dest="tension", type=float, required=True)
     p.add_argument("--pressure", "--p", dest="pressure", type=float, required=True)
     p.add_argument("--radius", "--R", dest="radius", type=float, required=True)
-    p.add_argument("--nodes", type=int, default=256)
+    p.add_argument("--nodes", type=int, default=256, help=f"radial nodes, 16 to {MAX_NODES}")
     common(p)
     p.set_defaults(func=_cmd_membrane)
 

@@ -10,6 +10,14 @@ module needs for Fisher metrics and alpha-connections.  Scores and
 log-density Hessians of single outcomes are transported from the natural
 chart by the chain rule; expectations are exact sums for discrete families
 and Gauss-Hermite quadrature for the Gaussian.
+
+Batch convention: coordinates have shape (..., d), the leading axes a batch
+of points (a sampled path, a difference stencil).  `validate`, `convert`,
+`probs`, `kl`, the Jacobian of the map into the natural chart and the
+potentials with their derivatives act on a whole batch in one call, and a
+single point is the no-batch case, coordinates of shape (d,), of the same
+code.  A matrix-valued map returns (..., d, d); a scalar-valued one returns
+a float for a single point and an array of the batch shape otherwise.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import log_expit, logsumexp, xlogy
 
 NATURAL = "natural"
 MEAN = "mean"
@@ -45,7 +53,8 @@ class NotExponentialFamilyChartError(ChartError):
 
 @dataclass(frozen=True)
 class ParameterPoint:
-    """Coordinates of a distribution in a named chart."""
+    """Coordinates of a distribution in a named chart: shape (d,) for one
+    point, (..., d) for a batch of points in the same chart."""
 
     chart: str
     coords: np.ndarray
@@ -53,13 +62,39 @@ class ParameterPoint:
     def __post_init__(self):
         coords = np.atleast_1d(np.asarray(self.coords, dtype=float))
         object.__setattr__(self, "coords", coords)
-        if not np.all(np.isfinite(coords)):
+        if not np.isfinite(coords).all():
             raise InvalidParameterError("coordinates must be finite")
 
 
 def point(chart, *coords):
     """Shorthand constructor for a ParameterPoint."""
     return ParameterPoint(chart, np.asarray(coords, dtype=float))
+
+
+def _scalar(x):
+    """A float for an unbatched result, the array of the batch shape otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _components(x):
+    """The components of x along its last axis, each of the batch shape:
+    numpy scalars for a single point, which keeps its arithmetic scalar."""
+    return tuple(x) if x.ndim == 1 else tuple(np.moveaxis(x, -1, 0))
+
+
+def _all(mask):
+    """mask.all(), without the array reduction for a single point's scalar."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+
+
+def _pack(nested, batch):
+    """Array of shape batch + s from a nested list of shape s whose entries
+    are scalars (no batch) or arrays of the batch shape."""
+    a = np.array(nested)
+    if batch:
+        r = a.ndim - len(batch)
+        a = np.moveaxis(a, tuple(range(r)), tuple(range(-r, 0)))
+    return a
 
 
 class DistributionFamily(ABC):
@@ -74,11 +109,24 @@ class DistributionFamily(ABC):
 
     @abstractmethod
     def validate(self, pt: ParameterPoint):
-        """Raise if the point is not a valid interior point of its chart."""
+        """Raise if any point of pt is not a valid interior point of its chart."""
 
-    @abstractmethod
     def convert(self, pt: ParameterPoint, chart: str) -> ParameterPoint:
-        """Exact closed-form chart change."""
+        """Exact closed-form chart change of every point of pt."""
+        self.validate(pt)
+        if chart == pt.chart:
+            return pt
+        return ParameterPoint(chart, self._coords_in(pt, chart))
+
+    def _coords_in(self, pt: ParameterPoint, chart: str) -> np.ndarray:
+        """Coordinates in another chart of the points of pt, validated by the
+        caller.  Natural and mean coordinates are Legendre duals: eta = grad
+        psi(theta) and theta = grad phi(eta)."""
+        if chart == MEAN and pt.chart == NATURAL:
+            return self.grad_potential(pt.coords)
+        if chart == NATURAL and pt.chart == MEAN:
+            return self.grad_dual_potential(pt.coords)
+        raise ChartError(f"unknown chart {chart!r}")
 
     @abstractmethod
     def in_support(self, x) -> bool:
@@ -87,7 +135,7 @@ class DistributionFamily(ABC):
     # -- exponential-family potentials (natural chart) ------------------
 
     @abstractmethod
-    def potential(self, theta) -> float:
+    def potential(self, theta):
         """Log-partition psi(theta)."""
 
     @abstractmethod
@@ -103,7 +151,7 @@ class DistributionFamily(ABC):
         """psi_abc(theta): the third cumulant tensor of the sufficient statistic."""
 
     @abstractmethod
-    def dual_potential(self, eta) -> float:
+    def dual_potential(self, eta):
         """Legendre dual phi(eta) = <theta(eta), eta> - psi(theta(eta))."""
 
     @abstractmethod
@@ -129,22 +177,27 @@ class DistributionFamily(ABC):
         return -self.hess_potential(theta)
 
     def _natural_jacobian(self, pt: ParameterPoint) -> np.ndarray:
-        """Jacobian d theta_a / d u_i of the map into the natural chart."""
+        """Jacobian d theta_a / d u_i of the map into the natural chart, (..., d, d)."""
         if pt.chart == NATURAL:
-            return np.eye(self.dim)
+            eye = np.eye(self.dim)
+            return eye if pt.coords.ndim == 1 else np.broadcast_to(eye, pt.coords.shape + (self.dim,))
         if pt.chart == MEAN:
             # theta(eta) = grad phi, so the Jacobian is the dual Hessian
             return self.hess_dual_potential(pt.coords)
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
-    def _natural_jacobian_derivative(self, pt: ParameterPoint) -> np.ndarray:
-        """H[a, i, j] = d^2 theta_a / d u_i d u_j of the map into the natural chart."""
+    def _natural_jacobian_derivative(self, pt: ParameterPoint, jac=None, psi3=None) -> np.ndarray:
+        """H[a, i, j] = d^2 theta_a / d u_i d u_j of the map into the natural
+        chart at one point.  A caller that holds the Jacobian and psi'''(theta)
+        at pt passes them in, so the mean chart does not recompute them."""
         if pt.chart == NATURAL:
             return np.zeros((self.dim,) * 3)
         if pt.chart == MEAN:
             # d phi'' = -phi'' (d psi'') phi'' and d psi''_de / d eta_j = psi_def phi''_fj
-            jac = self.hess_dual_potential(pt.coords)
-            psi3 = self.third_potential(self.grad_dual_potential(pt.coords))
+            if jac is None:
+                jac = self.hess_dual_potential(pt.coords)
+            if psi3 is None:
+                psi3 = self.third_potential(self.grad_dual_potential(pt.coords))
             return -np.einsum("ad,def,ei,fj->aij", jac, psi3, jac, jac)
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
@@ -189,8 +242,9 @@ class DistributionFamily(ABC):
         return self.grad_potential(pt.coords)
 
     @abstractmethod
-    def kl(self, p: ParameterPoint, q: ParameterPoint) -> float:
-        """Kullback-Leibler divergence D(p || q), in nats."""
+    def kl(self, p: ParameterPoint, q: ParameterPoint):
+        """Kullback-Leibler divergence D(p || q) in nats, for paired points
+        whose batch shapes broadcast."""
 
 
 class _DiscreteFamily(DistributionFamily):
@@ -198,7 +252,7 @@ class _DiscreteFamily(DistributionFamily):
 
     @abstractmethod
     def probs(self, pt: ParameterPoint) -> np.ndarray:
-        """Outcome probabilities, indexed by outcome."""
+        """Outcome probabilities, indexed by outcome on the last axis."""
 
     @property
     @abstractmethod
@@ -212,7 +266,7 @@ class _DiscreteFamily(DistributionFamily):
         self.validate(pt)
         if not self.in_support(x):
             raise SupportError(f"outcome {x!r} outside support")
-        return float(np.log(self.probs(pt)[int(x)]))
+        return _scalar(np.log(self.probs(pt)[..., int(x)]))
 
     def expect(self, pt: ParameterPoint, f):
         self.validate(pt)
@@ -220,17 +274,15 @@ class _DiscreteFamily(DistributionFamily):
         vals = [np.asarray(f(x), dtype=float) for x in self.outcomes]
         return sum(pi * v for pi, v in zip(p, vals))
 
-    def kl(self, p: ParameterPoint, q: ParameterPoint) -> float:
+    def kl(self, p: ParameterPoint, q: ParameterPoint):
+        return _scalar(np.sum(self._kl_terms(p, q), axis=-1))
+
+    def _kl_terms(self, p, q):
+        """p(x) log(p(x) / q(x)) per outcome: 0 where p(x) = 0, inf where only q(x) = 0."""
         pp = self.probs(p)
         qq = self.probs(q)
-        total = 0.0
-        for pi, qi in zip(pp, qq):
-            if pi == 0.0:
-                continue
-            if qi == 0.0:
-                return float("inf")
-            total += pi * np.log(pi / qi)
-        return float(total)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(pp == 0.0, 0.0, pp * np.log(pp / qq))
 
 
 class Bernoulli(_DiscreteFamily):
@@ -246,57 +298,53 @@ class Bernoulli(_DiscreteFamily):
     def validate(self, pt: ParameterPoint):
         if pt.chart not in self.charts:
             raise ChartError(f"unknown chart {pt.chart!r}")
-        if pt.coords.shape != (1,):
+        if pt.coords.shape[-1] != 1:
             raise InvalidParameterError("Bernoulli has one parameter")
         if pt.chart == MEAN:
-            eta = pt.coords[0]
-            if eta in (0.0, 1.0):
-                raise BoundaryParameterError("eta on the boundary {0, 1}")
-            if not 0.0 < eta < 1.0:
+            (eta,) = _components(pt.coords)
+            if not _all((eta > 0.0) & (eta < 1.0)):
+                if not _all((eta != 0.0) & (eta != 1.0)):
+                    raise BoundaryParameterError("eta on the boundary {0, 1}")
                 raise InvalidParameterError("eta must lie in (0, 1)")
 
-    def convert(self, pt: ParameterPoint, chart: str) -> ParameterPoint:
-        self.validate(pt)
-        if chart == pt.chart:
-            return pt
-        if chart == NATURAL:
-            eta = pt.coords[0]
-            return point(NATURAL, np.log(eta / (1.0 - eta)))
-        if chart == MEAN:
-            theta = pt.coords[0]
-            return point(MEAN, 1.0 / (1.0 + np.exp(-theta)))
-        raise ChartError(f"unknown chart {chart!r}")
-
     def probs(self, pt: ParameterPoint) -> np.ndarray:
-        eta = self.convert(pt, MEAN).coords[0]
-        return np.array([1.0 - eta, eta])
+        eta = self.convert(pt, MEAN).coords
+        return np.concatenate([1.0 - eta, eta], axis=-1)
+
+    def _kl_terms(self, p, q):
+        if p.chart == q.chart == NATURAL:
+            # log-sigmoid log-probabilities stay exact where the sigmoid rounds to 0 or 1
+            lp = np.concatenate([log_expit(-p.coords), log_expit(p.coords)], axis=-1)
+            lq = np.concatenate([log_expit(-q.coords), log_expit(q.coords)], axis=-1)
+            return np.exp(lp) * (lp - lq)
+        return super()._kl_terms(p, q)
 
     def potential(self, theta):
-        return float(np.logaddexp(0.0, np.asarray(theta, dtype=float)[0]))
+        return _scalar(np.logaddexp(0.0, np.asarray(theta, dtype=float)[..., 0]))
 
     def grad_potential(self, theta):
-        t = np.asarray(theta, dtype=float)[0]
-        return np.array([1.0 / (1.0 + np.exp(-t))])
+        return 1.0 / (1.0 + np.exp(-np.asarray(theta, dtype=float)))
 
     def hess_potential(self, theta):
-        s = self.grad_potential(theta)[0]
-        return np.array([[s * (1.0 - s)]])
+        s = self.grad_potential(theta)
+        return (s * (1.0 - s))[..., None]
 
     def third_potential(self, theta):
-        s = self.grad_potential(theta)[0]
-        return np.array([[[s * (1.0 - s) * (1.0 - 2.0 * s)]]])
+        s = self.grad_potential(theta)
+        return (s * (1.0 - s) * (1.0 - 2.0 * s))[..., None, None]
 
     def dual_potential(self, eta):
-        e = np.asarray(eta, dtype=float)[0]
-        return float(e * np.log(e) + (1.0 - e) * np.log(1.0 - e))
+        # xlogy keeps 0 log 0 = 0 where a saturated sigmoid gives eta in {0, 1}
+        e = np.asarray(eta, dtype=float)[..., 0]
+        return _scalar(xlogy(e, e) + xlogy(1.0 - e, 1.0 - e))
 
     def grad_dual_potential(self, eta):
-        e = np.asarray(eta, dtype=float)[0]
-        return np.array([np.log(e / (1.0 - e))])
+        e = np.asarray(eta, dtype=float)
+        return np.log(e / (1.0 - e))
 
     def hess_dual_potential(self, eta):
-        e = np.asarray(eta, dtype=float)[0]
-        return np.array([[1.0 / (e * (1.0 - e))]])
+        e = np.asarray(eta, dtype=float)
+        return (1.0 / (e * (1.0 - e)))[..., None]
 
     def _score_natural(self, theta, x):
         return np.array([float(x) - self.grad_potential(theta)[0]])
@@ -323,68 +371,51 @@ class Categorical(_DiscreteFamily):
     def validate(self, pt: ParameterPoint):
         if pt.chart not in self.charts:
             raise ChartError(f"unknown chart {pt.chart!r}")
-        if pt.coords.shape != (self.dim,):
+        if pt.coords.shape[-1] != self.dim:
             raise InvalidParameterError(f"expected {self.dim} coordinates")
         if pt.chart == MEAN:
-            eta = pt.coords
-            last = 1.0 - eta.sum()
-            full = np.append(eta, last)
-            if np.any((full == 0.0) | (full == 1.0)):
-                raise BoundaryParameterError("probability on the boundary")
-            if np.any((full <= 0.0) | (full >= 1.0)):
+            full = _with_last(pt.coords)
+            if not _all((full > 0.0) & (full < 1.0)):
+                if not _all((full != 0.0) & (full != 1.0)):
+                    raise BoundaryParameterError("probability on the boundary")
                 raise InvalidParameterError("probabilities must lie in (0, 1)")
-
-    def convert(self, pt: ParameterPoint, chart: str) -> ParameterPoint:
-        self.validate(pt)
-        if chart == pt.chart:
-            return pt
-        if chart == NATURAL:
-            eta = pt.coords
-            last = 1.0 - eta.sum()
-            return ParameterPoint(NATURAL, np.log(eta / last))
-        if chart == MEAN:
-            return ParameterPoint(MEAN, self.grad_potential(pt.coords))
-        raise ChartError(f"unknown chart {chart!r}")
 
     def probs(self, pt: ParameterPoint) -> np.ndarray:
         if pt.chart == MEAN:
-            eta = pt.coords
-            return np.append(eta, 1.0 - eta.sum())
+            return _with_last(pt.coords)
         return _softmax(pt.coords)
 
     def potential(self, theta):
-        z = np.append(np.asarray(theta, dtype=float), 0.0)
-        return float(logsumexp(z))
+        return _scalar(logsumexp(_append_zero(theta), axis=-1))
 
     def grad_potential(self, theta):
-        return _softmax(theta)[:-1]
+        return _softmax(theta)[..., :-1]
 
     def hess_potential(self, theta):
         p = self.grad_potential(theta)
-        return np.diag(p) - np.outer(p, p)
+        return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
 
     def third_potential(self, theta):
         # psi_ab = p_a n_ab with n_ab = delta_ab - p_b, and d p_a / d theta_c = p_a n_ac:
         # psi_abc = d_abc p_a - d_ab p_a p_c - d_ac p_a p_b - d_bc p_a p_b + 2 p_a p_b p_c
         p = self.grad_potential(theta)
-        n = np.eye(p.size) - p
-        return p[:, None, None] * (n[:, :, None] * n[:, None, :] - p[None, :, None] * n)
+        n = np.eye(p.shape[-1]) - p[..., None, :]
+        pn = p[..., :, None] * n
+        return p[..., :, None, None] * (n[..., :, :, None] * n[..., :, None, :] - pn[..., None, :, :])
 
     def dual_potential(self, eta):
-        e = np.asarray(eta, dtype=float)
-        last = 1.0 - e.sum()
-        full = np.append(e, last)
-        return float(np.sum(full * np.log(full)))
+        full = _with_last(np.asarray(eta, dtype=float))
+        return _scalar(np.sum(xlogy(full, full), axis=-1))
 
     def grad_dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)
-        last = 1.0 - e.sum()
-        return np.log(e / last)
+        last = 1.0 - e.sum(axis=-1)
+        return np.log(e / last[..., None])
 
     def hess_dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)
-        last = 1.0 - e.sum()
-        return np.diag(1.0 / e) + 1.0 / last
+        last = 1.0 - e.sum(axis=-1)
+        return (1.0 / e)[..., :, None] * np.eye(e.shape[-1]) + (1.0 / last)[..., None, None]
 
     def _score_natural(self, theta, x):
         t = np.zeros(self.dim)
@@ -393,11 +424,21 @@ class Categorical(_DiscreteFamily):
         return t - self.grad_potential(theta)
 
 
+def _with_last(eta):
+    """All k probabilities from the first k-1."""
+    return np.concatenate([eta, 1.0 - eta.sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def _append_zero(theta):
+    theta = np.asarray(theta, dtype=float)
+    return np.concatenate([theta, np.zeros(theta.shape[:-1] + (1,))], axis=-1)
+
+
 def _softmax(theta):
     """Probabilities of all k outcomes from the k-1 log-odds against the last."""
-    z = np.append(np.asarray(theta, dtype=float), 0.0)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    z = _append_zero(theta)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Gaussian1D(DistributionFamily):
@@ -418,41 +459,41 @@ class Gaussian1D(DistributionFamily):
     def validate(self, pt: ParameterPoint):
         if pt.chart not in self.charts:
             raise ChartError(f"unknown chart {pt.chart!r}")
-        if pt.coords.shape != (2,):
+        c = pt.coords
+        if c.shape[-1] != 2:
             raise InvalidParameterError("Gaussian1D has two parameters")
+        first, second = _components(c)
         if pt.chart == RAW:
-            if pt.coords[1] == 0.0:
-                raise BoundaryParameterError("sigma = 0")
-            if pt.coords[1] < 0.0:
+            if not _all(second > 0.0):
+                if not _all(second != 0.0):
+                    raise BoundaryParameterError("sigma = 0")
                 raise InvalidParameterError("sigma must be positive")
         elif pt.chart == NATURAL:
-            if pt.coords[1] >= 0.0:
+            if not _all(second < 0.0):
                 raise InvalidParameterError("second natural parameter must be negative")
         elif pt.chart == MEAN:
-            if pt.coords[1] - pt.coords[0] ** 2 <= 0.0:
+            if not _all(second - first**2 > 0.0):
                 raise InvalidParameterError("variance eta2 - eta1^2 must be positive")
 
     def _raw(self, pt: ParameterPoint):
+        """(mu, sigma), each of the batch shape."""
+        a, b = _components(pt.coords)
         if pt.chart == RAW:
-            return float(pt.coords[0]), float(pt.coords[1])
+            return a, b
         if pt.chart == NATURAL:
-            t1, t2 = pt.coords
-            sigma2 = -1.0 / (2.0 * t2)
-            return float(t1 * sigma2), float(np.sqrt(sigma2))
-        e1, e2 = pt.coords
-        return float(e1), float(np.sqrt(e2 - e1**2))
+            sigma2 = -1.0 / (2.0 * b)
+            return a * sigma2, np.sqrt(sigma2)
+        return a, np.sqrt(b - a**2)
 
-    def convert(self, pt: ParameterPoint, chart: str) -> ParameterPoint:
-        self.validate(pt)
-        if chart == pt.chart:
-            return pt
+    def _coords_in(self, pt: ParameterPoint, chart: str) -> np.ndarray:
         mu, sigma = self._raw(pt)
+        batch = pt.coords.shape[:-1]
         if chart == RAW:
-            return point(RAW, mu, sigma)
+            return _pack([mu, sigma], batch)
         if chart == NATURAL:
-            return point(NATURAL, mu / sigma**2, -1.0 / (2.0 * sigma**2))
+            return _pack([mu / sigma**2, -1.0 / (2.0 * sigma**2)], batch)
         if chart == MEAN:
-            return point(MEAN, mu, mu**2 + sigma**2)
+            return _pack([mu, mu**2 + sigma**2], batch)
         raise ChartError(f"unknown chart {chart!r}")
 
     def in_support(self, x) -> bool:
@@ -463,7 +504,7 @@ class Gaussian1D(DistributionFamily):
         if not self.in_support(x):
             raise SupportError(f"outcome {x!r} outside support")
         mu, sigma = self._raw(pt)
-        return float(
+        return _scalar(
             -0.5 * np.log(2.0 * np.pi) - np.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2
         )
 
@@ -476,46 +517,53 @@ class Gaussian1D(DistributionFamily):
         return sum(wi * v for wi, v in zip(w, vals))
 
     def potential(self, theta):
-        t1, t2 = np.asarray(theta, dtype=float)
-        return float(-(t1**2) / (4.0 * t2) - 0.5 * np.log(-2.0 * t2))
+        t = np.asarray(theta, dtype=float)
+        t1, t2 = _components(t)
+        return _scalar(-(t1**2) / (4.0 * t2) - 0.5 * np.log(-2.0 * t2))
 
     def grad_potential(self, theta):
-        t1, t2 = np.asarray(theta, dtype=float)
-        return np.array([-t1 / (2.0 * t2), t1**2 / (4.0 * t2**2) - 1.0 / (2.0 * t2)])
+        t = np.asarray(theta, dtype=float)
+        t1, t2 = _components(t)
+        return _pack([-t1 / (2.0 * t2), t1**2 / (4.0 * t2**2) - 1.0 / (2.0 * t2)], t.shape[:-1])
 
     def hess_potential(self, theta):
-        t1, t2 = np.asarray(theta, dtype=float)
-        return np.array(
-            [
-                [-1.0 / (2.0 * t2), t1 / (2.0 * t2**2)],
-                [t1 / (2.0 * t2**2), -(t1**2) / (2.0 * t2**3) + 1.0 / (2.0 * t2**2)],
-            ]
+        t = np.asarray(theta, dtype=float)
+        t1, t2 = _components(t)
+        off = t1 / (2.0 * t2**2)
+        return _pack(
+            [[-1.0 / (2.0 * t2), off], [off, -(t1**2) / (2.0 * t2**3) + 1.0 / (2.0 * t2**2)]],
+            t.shape[:-1],
         )
 
     def third_potential(self, theta):
-        t1, t2 = np.asarray(theta, dtype=float)
+        t = np.asarray(theta, dtype=float)
+        t1, t2 = _components(t)
         p112 = 1.0 / (2.0 * t2**2)
         p122 = -t1 / t2**3
         p222 = 1.5 * t1**2 / t2**4 - 1.0 / t2**3
-        return np.array([[[0.0, p112], [p112, p122]], [[p112, p122], [p122, p222]]])
+        zero = np.zeros(t.shape[:-1])
+        return _pack(
+            [[[zero, p112], [p112, p122]], [[p112, p122], [p122, p222]]], t.shape[:-1]
+        )
 
     def dual_potential(self, eta):
-        e1, e2 = np.asarray(eta, dtype=float)
-        return float(-0.5 * (1.0 + np.log(e2 - e1**2)))
+        e = np.asarray(eta, dtype=float)
+        e1, e2 = _components(e)
+        return _scalar(-0.5 * (1.0 + np.log(e2 - e1**2)))
 
     def grad_dual_potential(self, eta):
-        e1, e2 = np.asarray(eta, dtype=float)
+        e = np.asarray(eta, dtype=float)
+        e1, e2 = _components(e)
         v = e2 - e1**2
-        return np.array([e1 / v, -1.0 / (2.0 * v)])
+        return _pack([e1 / v, -1.0 / (2.0 * v)], e.shape[:-1])
 
     def hess_dual_potential(self, eta):
-        e1, e2 = np.asarray(eta, dtype=float)
+        e = np.asarray(eta, dtype=float)
+        e1, e2 = _components(e)
         v = e2 - e1**2
-        return np.array(
-            [
-                [1.0 / v + 2.0 * e1**2 / v**2, -e1 / v**2],
-                [-e1 / v**2, 1.0 / (2.0 * v**2)],
-            ]
+        return _pack(
+            [[1.0 / v + 2.0 * e1**2 / v**2, -e1 / v**2], [-e1 / v**2, 1.0 / (2.0 * v**2)]],
+            e.shape[:-1],
         )
 
     def _score_natural(self, theta, x):
@@ -524,13 +572,15 @@ class Gaussian1D(DistributionFamily):
 
     def _natural_jacobian(self, pt: ParameterPoint) -> np.ndarray:
         if pt.chart == RAW:
-            mu, sigma = pt.coords
-            return np.array(
-                [[1.0 / sigma**2, -2.0 * mu / sigma**3], [0.0, 1.0 / sigma**3]]
+            mu, sigma = _components(pt.coords)
+            zero = np.zeros(pt.coords.shape[:-1])
+            return _pack(
+                [[1.0 / sigma**2, -2.0 * mu / sigma**3], [zero, 1.0 / sigma**3]],
+                pt.coords.shape[:-1],
             )
         return super()._natural_jacobian(pt)
 
-    def _natural_jacobian_derivative(self, pt: ParameterPoint) -> np.ndarray:
+    def _natural_jacobian_derivative(self, pt: ParameterPoint, jac=None, psi3=None) -> np.ndarray:
         if pt.chart == RAW:
             # theta = (mu / sigma^2, -1 / (2 sigma^2))
             mu, sigma = pt.coords
@@ -538,11 +588,11 @@ class Gaussian1D(DistributionFamily):
             return np.array(
                 [[[0.0, -2.0 / s3], [-2.0 / s3, 6.0 * mu / s4]], [[0.0, 0.0], [0.0, -3.0 / s4]]]
             )
-        return super()._natural_jacobian_derivative(pt)
+        return super()._natural_jacobian_derivative(pt, jac, psi3)
 
-    def kl(self, p: ParameterPoint, q: ParameterPoint) -> float:
+    def kl(self, p: ParameterPoint, q: ParameterPoint):
         mu1, s1 = self._raw(p)
         mu2, s2 = self._raw(q)
-        return float(
+        return _scalar(
             np.log(s2 / s1) + (s1**2 + (mu1 - mu2) ** 2) / (2.0 * s2**2) - 0.5
         )

@@ -15,6 +15,11 @@ No expectation is taken.  The alpha-connection family interpolates between
 the exponential (alpha = 1), Levi-Civita (alpha = 0), and mixture
 (alpha = -1) connections.  Hessians of the KL divergence give the
 independent metric route that the length functionals cross-check.
+
+`fisher_metric` and `divergence_hessians` follow the batch convention of
+`distributions`: a ParameterPoint with coordinates (..., d) gives metrics
+(..., d, d), and a single point is the no-batch case.  The connections are
+evaluated one point at a time.
 """
 from __future__ import annotations
 
@@ -40,7 +45,8 @@ class DegenerateMetricError(ValueError):
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric bilinear form at a point of a named chart."""
+    """Symmetric bilinear form at a point of a named chart: components
+    (d, d), or (..., d, d) at a batch of points, each one checked."""
 
     chart: str
     at: ParameterPoint
@@ -51,7 +57,8 @@ class MetricTensor:
         object.__setattr__(self, "components", c)
         if not np.isfinite(c).all():
             raise DegenerateMetricError("metric components must be finite")
-        if not (np.abs(c - c.T) <= 1e-12 + 1e-5 * np.abs(c.T)).all():
+        ct = c.swapaxes(-1, -2)
+        if not (np.abs(c - ct) <= 1e-12 + 1e-5 * np.abs(ct)).all():
             raise DegenerateMetricError("metric components must be symmetric")
 
 
@@ -144,17 +151,19 @@ class PotentialPair:
 
 def _natural_frame(family: DistributionFamily, pt: ParameterPoint):
     """theta(pt), the Jacobian J = d theta / du and psi''(theta)."""
-    theta = family.convert(pt, NATURAL).coords  # validates pt
+    family.validate(pt)
+    theta = pt.coords if pt.chart == NATURAL else family._coords_in(pt, NATURAL)
     return theta, family._natural_jacobian(pt), family.hess_potential(theta)
 
 
 def _pullback(jac, psi2):
-    g = jac.T @ psi2 @ jac
-    return 0.5 * (g + g.T)
+    g = jac.swapaxes(-1, -2) @ psi2 @ jac
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def fisher_metric(family: DistributionFamily, pt: ParameterPoint) -> MetricTensor:
-    """Fisher information J^T psi''(theta) J in the chart of pt."""
+    """Fisher information J^T psi''(theta) J in the chart of pt, at every
+    point of a batch: coordinates (..., d) give components (..., d, d)."""
     _, jac, psi2 = _natural_frame(family, pt)
     return MetricTensor(pt.chart, pt, _pullback(jac, psi2))
 
@@ -215,11 +224,14 @@ def dual_metrics(pot: PotentialPair, theta: ParameterPoint):
 
 
 def _first_kind(family, pt, alpha, theta, jac, psi2):
-    # psi_ab H^a_ij J^b_k: the bending of the chart, the same for every alpha
-    lower = np.einsum("aij,ab,bk->ijk", family._natural_jacobian_derivative(pt), psi2, jac)
     w = 0.5 * (1.0 - alpha)
+    # psi''' once per call: the cubic term needs it unless alpha = 1, and the
+    # mean chart's bending needs it for every alpha
+    psi3 = family.third_potential(theta) if w != 0.0 or pt.chart == MEAN else None
+    # psi_ab H^a_ij J^b_k: the bending of the chart, the same for every alpha
+    bend = family._natural_jacobian_derivative(pt, jac, psi3)
+    lower = np.einsum("aij,ab,bk->ijk", bend, psi2, jac)
     if w != 0.0:
-        psi3 = family.third_potential(theta)
         lower += w * np.einsum("abc,ai,bj,ck->ijk", psi3, jac, jac, jac)
     return lower
 
@@ -296,31 +308,63 @@ def metric_field(family: DistributionFamily, chart: str):
 
 def divergence_hessians(family: DistributionFamily, pt: ParameterPoint):
     """Metrics induced by the KL divergence: Hessian in the first argument at
-    coincidence (g) and in the second argument (g*), by central differences."""
-    family.validate(pt)
+    coincidence (g) and in the second argument (g*), by central differences
+    with step h_i = max(1, |u_i|) eps^(1/4).
+
+    Coordinates (..., d) give g and g* of shape (..., d, d).  The stencils of
+    all points are validated and evaluated together, one batched `kl` call
+    per argument slot; a batch whose stencils exceed _STENCIL_BLOCK
+    coordinates is split into blocks, so memory stays bounded.
+    """
     u = pt.coords
-    d = u.size
-    h = np.maximum(1.0, np.abs(u)) * np.finfo(float).eps ** 0.25
+    d = u.shape[-1]
+    flat = u.reshape(-1, d)
+    offsets, diag, mixed = _kl_stencil(d)
+    block = max(1, _STENCIL_BLOCK // (len(offsets) * d))
+    g = np.empty((flat.shape[0], d, d))
+    g_star = np.empty_like(g)
+    for start in range(0, flat.shape[0], block):
+        rows = slice(start, start + block)
+        g[rows], g_star[rows] = _stencil_hessians(family, pt.chart, flat[rows], offsets, diag, mixed)
+    return g.reshape(u.shape + (d,)), g_star.reshape(u.shape + (d,))
 
-    def kl_at(x, y):
-        return family.kl(ParameterPoint(pt.chart, x), ParameterPoint(pt.chart, y))
 
-    g = np.empty((d, d))
-    g_star = np.empty((d, d))
+# Stencil coordinates (stencil points times d) per batched kl call.
+_STENCIL_BLOCK = 2**20
+
+
+def _kl_stencil(d):
+    """Offsets, in units of h, of the points the central differences combine:
+    the centre, +-e_i for each i, and +-e_i +-e_j for each i < j.  With them,
+    the rows (+e_i, -e_i) for each i and (++, +-, -+, --) for each i < j."""
+    eye = np.eye(d)
+    offsets = [np.zeros(d)]
+    diag, mixed = [], {}
     for i in range(d):
-        for j in range(i, d):
-            g[i, j] = g[j, i] = _mixed_second(kl_at, u, i, j, h, first_arg=True)
-            g_star[i, j] = g_star[j, i] = _mixed_second(kl_at, u, i, j, h, first_arg=False)
-    return g, g_star
+        diag.append((len(offsets), len(offsets) + 1))
+        offsets += [eye[i], -eye[i]]
+    for i in range(d):
+        for j in range(i + 1, d):
+            mixed[i, j] = tuple(range(len(offsets), len(offsets) + 4))
+            offsets += [si * eye[i] + sj * eye[j] for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return np.array(offsets), diag, mixed
 
 
-def _mixed_second(kl_at, u, i, j, h, first_arg):
-    def val(si, sj):
-        x = u.copy()
-        x[i] += si * h[i]
-        x[j] += sj * h[j]
-        return kl_at(x, u) if first_arg else kl_at(u, x)
-
-    if i == j:
-        return (val(1, 0) - 2.0 * val(0, 0) + val(-1, 0)) / h[i] ** 2
-    return (val(1, 1) - val(1, -1) - val(-1, 1) + val(-1, -1)) / (4.0 * h[i] * h[j])
+def _stencil_hessians(family, chart, u, offsets, diag, mixed):
+    """g and g* at the points u (n, d) from one kl call per argument slot."""
+    d = u.shape[-1]
+    h = np.maximum(1.0, np.abs(u)) * np.finfo(float).eps ** 0.25
+    stencil = ParameterPoint(chart, u[:, None, :] + offsets * h[:, None, :])
+    family.validate(stencil)  # row 0 of each stencil is the point itself
+    centre = ParameterPoint(chart, u[:, None, :])
+    hessians = []
+    for kl in (family.kl(stencil, centre), family.kl(centre, stencil)):
+        m = np.empty(u.shape + (d,))
+        for i, (plus, minus) in enumerate(diag):
+            m[:, i, i] = (kl[:, plus] - 2.0 * kl[:, 0] + kl[:, minus]) / h[:, i] ** 2
+        for (i, j), (pp, pm, mp, mm) in mixed.items():
+            m[:, i, j] = m[:, j, i] = (kl[:, pp] - kl[:, pm] - kl[:, mp] + kl[:, mm]) / (
+                4.0 * h[:, i] * h[:, j]
+            )
+        hessians.append(m)
+    return hessians

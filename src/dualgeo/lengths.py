@@ -2,7 +2,10 @@
 
 All lengths are composite-trapezoid quadratures of sqrt(v^T G v) along a
 sampled path, with velocities from second-order finite differences on the
-parameter grid.  Geodesics are straight segments in the flat chart for
+parameter grid and the metric G as an (n, d, d) array over the n samples.
+`length_report` evaluates every metric it needs on the whole path at once
+(see its docstring); `path_length` stacks a per-point metric callable into
+the same quadrature.  Geodesics are straight segments in the flat chart for
 alpha = +/-1 and a shooting RK4 integration of the Levi-Civita geodesic
 equation for alpha = 0, with closed-form Christoffel symbols at every
 stage.  A shot that leaves the chart's domain or meets a singular or
@@ -27,7 +30,7 @@ from .geometry import (
     PotentialPair,
     christoffel,
     divergence_hessians,
-    metric_field,
+    fisher_metric,
 )
 
 
@@ -64,8 +67,9 @@ class ParamPath:
         ts = np.linspace(0.0, 1.0, count)
         return cls(chart, a[None, :] + ts[:, None] * (b - a)[None, :], ts)
 
-    def points(self):
-        return [ParameterPoint(self.chart, c) for c in self.samples]
+    def batch(self):
+        """All samples as one ParameterPoint of shape (count, dim)."""
+        return ParameterPoint(self.chart, self.samples)
 
     def refined(self, factor=2):
         """Same curve re-sampled on a grid `factor` times as fine (linear)."""
@@ -84,20 +88,30 @@ class LengthReport:
     grid_size: int
 
 
+def _arc_length(path: ParamPath, metric) -> float:
+    """Trapezoid quadrature of sqrt(v^T G v) with G the (count, d, d) metric."""
+    vel = np.gradient(path.samples, path.ts, axis=0)
+    q = np.einsum("ni,nij,nj->n", vel, metric, vel)
+    return float(np.trapezoid(np.sqrt(np.maximum(q, 0.0)), path.ts))
+
+
+def _stacked(path: ParamPath, field_fn):
+    return np.stack([np.atleast_2d(field_fn(c)) for c in path.samples])
+
+
+def _harmonic_mean(g, g_star):
+    """H = 2 (g^-1 + g*^-1)^-1 at every sample."""
+    return 2.0 * np.linalg.inv(np.linalg.inv(g) + np.linalg.inv(g_star))
+
+
 def path_length(path: ParamPath, field_fn) -> float:
     """Trapezoid quadrature of sqrt(v^T G(x) v) with G from `field_fn`."""
-    vel = np.gradient(path.samples, path.ts, axis=0)
-    integrand = np.empty(path.count)
-    for k in range(path.count):
-        g = np.atleast_2d(field_fn(path.samples[k]))
-        q = float(vel[k] @ g @ vel[k])
-        integrand[k] = np.sqrt(max(q, 0.0))
-    return float(np.trapezoid(integrand, path.ts))
+    return _arc_length(path, _stacked(path, field_fn))
 
 
 def primal_length(path: ParamPath, family: DistributionFamily) -> float:
     """Fisher arc length of the path in its own chart."""
-    return path_length(path, metric_field(family, path.chart))
+    return _arc_length(path, fisher_metric(family, path.batch()).components)
 
 
 def dual_length(path: ParamPath, pot: PotentialPair) -> float:
@@ -118,66 +132,39 @@ def potential_length(path: ParamPath, pot: PotentialPair) -> float:
 
 def harmonic_length(path: ParamPath, g_field, g_star_field) -> float:
     """Length under H = 2 (g^-1 + g*^-1)^-1, the harmonic mean of the metrics."""
-
-    def field_fn(coords):
-        g = np.atleast_2d(g_field(coords))
-        gs = np.atleast_2d(g_star_field(coords))
-        return 2.0 * np.linalg.inv(np.linalg.inv(g) + np.linalg.inv(gs))
-
-    return path_length(path, field_fn)
+    return _arc_length(path, _harmonic_mean(_stacked(path, g_field), _stacked(path, g_star_field)))
 
 
 def divergence_length(path: ParamPath, family: DistributionFamily) -> float:
     """Length under g + g* with both metrics from KL-divergence Hessians."""
-
-    def field_fn(coords):
-        g, g_star = divergence_hessians(family, ParameterPoint(path.chart, coords))
-        return g + g_star
-
-    return path_length(path, field_fn)
-
-
-def divergence_length_curvature(path: ParamPath, family: DistributionFamily) -> float:
-    """Alternate estimator from the second parameter-derivative, at coincidence,
-    of the symmetrized divergence D(x||y) + D(y||x) along the path."""
-    vel = np.gradient(path.samples, path.ts, axis=0)
-    integrand = np.empty(path.count)
-    for k in range(path.count):
-        u = path.samples[k]
-        v = vel[k]
-        h = 1e-4 / max(1.0, float(np.linalg.norm(v)))
-
-        def sym(s):
-            x = ParameterPoint(path.chart, u + s * v)
-            y = ParameterPoint(path.chart, u)
-            return family.kl(x, y) + family.kl(y, x)
-
-        second = (sym(h) - 2.0 * sym(0.0) + sym(-h)) / h**2
-        integrand[k] = np.sqrt(max(second, 0.0))
-    return float(np.trapezoid(integrand, path.ts))
+    g, g_star = divergence_hessians(family, path.batch())
+    return _arc_length(path, g + g_star)
 
 
 def length_report(path: ParamPath, family: DistributionFamily) -> LengthReport:
-    """All length functionals of a path, with g* taken in the same chart."""
-    pot = PotentialPair.from_family(family)
-    if path.chart == pot.primal_chart:
-        dual = dual_length(path, pot)
-    else:
-        theta = np.stack(
-            [family.convert(p, NATURAL).coords for p in path.points()]
-        )
-        dual = dual_length(ParamPath(NATURAL, theta, path.ts), pot)
-    g_field = metric_field(family, path.chart)
+    """All length functionals of a path, with g* taken in the same chart.
 
-    def g_star_field(coords):
-        _, g_star = divergence_hessians(family, ParameterPoint(path.chart, coords))
-        return g_star
+    One pass over whole-path arrays: the closed-form Fisher metric g of the
+    path's chart (validating the path), the natural coordinates theta of the
+    path with its grad-psi image eta and the dual metric phi''(eta) there,
+    and the KL-divergence Hessians (g_kl, g*_kl) from one stencil evaluation
+    per argument slot.  Then
 
+        primal             under g
+        dual               of the eta image under phi''
+        harmonic           under 2 (g^-1 + g*_kl^-1)^-1
+        divergence_based   under g_kl + g*_kl
+    """
+    pts = path.batch()
+    g = fisher_metric(family, pts).components
+    theta = family.convert(pts, NATURAL).coords
+    image = ParamPath(MEAN, family.grad_potential(theta), path.ts)
+    g_kl, g_star_kl = divergence_hessians(family, pts)
     return LengthReport(
-        primal=primal_length(path, family),
-        dual=dual,
-        harmonic=harmonic_length(path, g_field, g_star_field),
-        divergence_based=divergence_length(path, family),
+        primal=_arc_length(path, g),
+        dual=_arc_length(image, family.hess_dual_potential(image.samples)),
+        harmonic=_arc_length(path, _harmonic_mean(g, g_star_kl)),
+        divergence_based=_arc_length(path, g_kl + g_star_kl),
         grid_size=path.count,
     )
 
@@ -205,10 +192,7 @@ def geodesic(
         fa = family.convert(a, flat).coords
         fb = family.convert(b, flat).coords
         flat_path = ParamPath.straight(flat, fa, fb, count)
-        out = np.stack(
-            [family.convert(p, chart).coords for p in flat_path.points()]
-        )
-        return ParamPath(chart, out, flat_path.ts)
+        return ParamPath(chart, family.convert(flat_path.batch(), chart).coords, flat_path.ts)
     if alpha != 0:
         raise ValueError("alpha must be one of {-1, 0, 1}")
 

@@ -208,3 +208,56 @@ def test_largest_mesh_accepted(tmp_path):
     assert code == 0
     row = dict(zip(("loop_phase", "surface_flux"), tables.from_csv(data).rows[0]))
     assert abs(row["surface_flux"] - (-np.pi * (1.0 - np.cos(1.0)))) < 1e-5
+
+
+def test_saturated_logits_divergence_is_finite(tmp_path):
+    # sigmoid(40) rounds to 1.0; log-sigmoid probabilities keep both
+    # directions at 40 - 80 sigmoid(-40) nats, 40.0 in double precision
+    argv = ["divergence", "--family", "bernoulli", "--chart", "natural", "--p", "40", "--q", "-40"]
+    code, data = run(argv, tmp_path)
+    assert code == 0
+    row = dict(zip(tables.from_csv(data).columns, tables.from_csv(data).rows[0]))
+    assert abs(row["kl_pq"] - 40.0) < 1e-12
+    assert abs(row["kl_qp"] - 40.0) < 1e-12
+    assert abs(row["bregman"] - 40.0) < 1e-12
+
+
+LENGTHS = ["lengths", "--family", "bernoulli", "--chart", "mean", "--start", "0.2", "--end", "0.8"]
+GEODESIC = ["geodesic", "--family", "bernoulli", "--chart", "mean", "--a", "0.2", "--b", "0.8", "--alpha", "1"]
+MEMBRANE = ["membrane", "--T", "1", "--p", "1", "--R", "1"]
+CAT_LENGTHS = ["lengths", "--family", "categorical", "--chart", "natural", "--start", "0", "--end", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (LENGTHS + ["--count", str(cli.MAX_COUNT + 1)], "count"),
+        (LENGTHS + ["--count", "1"], "count"),
+        (GEODESIC + ["--count", str(cli.MAX_COUNT + 1)], "count"),
+        (GEODESIC + ["--count", "1"], "count"),
+        (MEMBRANE + ["--nodes", str(cli.MAX_NODES + 1)], "nodes"),
+        (MEMBRANE + ["--nodes", "15"], "nodes"),
+        (["fisher", "--family", "categorical", "--k", str(cli.MAX_K + 1), "--point", "0.1"], "k"),
+        (["fisher", "--family", "categorical", "--k", "1", "--point", "0.1"], "k"),
+        # k = 64: (k - 1)^2 = 3969, so at most 264 samples
+        (CAT_LENGTHS + ["--k", "64", "--count", "265"], "count"),
+    ],
+)
+def test_size_flags_bounded(argv, field, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_size_flag_edges_accepted(tmp_path):
+    # the smallest accepted sizes, and the largest path of a 2-parameter family
+    assert run(LENGTHS + ["--count", "2"], tmp_path)[0] == 0
+    assert run(GEODESIC + ["--count", "2"], tmp_path)[0] == 0
+    assert run(MEMBRANE + ["--nodes", "16"], tmp_path)[0] == 0
+    argv = ["lengths", "--family", "gaussian", "--chart", "raw", "--start", "0,1", "--end", "1,2"]
+    code, data = run(argv + ["--count", str(cli.MAX_COUNT)], tmp_path)
+    assert code == 0
+    row = dict(zip(tables.from_csv(data).columns, tables.from_csv(data).rows[0]))
+    # the straight raw-chart segment is longer than the Fisher-Rao distance
+    # sqrt(2) arccosh(11/8) = 1.18938..., and within 1% of it
+    assert 1.18938 < row["primal"] < 1.01 * 1.18938
+    assert row["grid_size"] == cli.MAX_COUNT

@@ -1,6 +1,8 @@
 """Fisher metrics, Legendre duality, divergences, and connections."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dualgeo.distributions import (
     MEAN,
@@ -441,3 +443,237 @@ def test_metric_field_matches_pointwise():
     field = G.metric_field(fam, MEAN)
     direct = G.fisher_metric(fam, point(MEAN, 0.4)).components
     assert np.max(np.abs(field(np.array([0.4])) - direct)) < 1e-14
+
+
+# -- Batched route ------------------------------------------------------
+# Coordinates (..., d) evaluate a whole batch in one call; every batched
+# quantity must agree with a loop of single-point calls.
+
+FAMILY_CHARTS = [(f, c) for f in (Bernoulli(), Categorical(3), Categorical(4), Gaussian1D()) for c in f.charts]
+FAMILY_CHART_IDS = [f"{type(f).__name__}{f.dim}-{c}" for f, c in FAMILY_CHARTS]
+
+
+def batch_in_chart(fam, chart, n):
+    """n interior points in `chart`, drawn as in random_chart_points."""
+    if isinstance(fam, Bernoulli):
+        base = ParameterPoint(MEAN, RNG.uniform(0.02, 0.98, (n, 1)))
+    elif isinstance(fam, Categorical):
+        w = RNG.uniform(0.05, 1.0, (n, fam.k))
+        base = ParameterPoint(MEAN, (w / w.sum(axis=1, keepdims=True))[:, :-1])
+    else:
+        base = ParameterPoint(RAW, np.stack([RNG.uniform(-3.0, 3.0, n), RNG.uniform(0.2, 4.0, n)], axis=1))
+    return np.stack([fam.convert(ParameterPoint(base.chart, c), chart).coords for c in base.coords])
+
+
+def per_point_divergence_hessians(fam, pt):
+    """The KL Hessians entry by entry, each from its own single-point kl calls
+    on the stencil x = u + s_i h_i e_i + s_j h_j e_j (the reference for the
+    batched stencil)."""
+    u = pt.coords
+    d = u.size
+    h = np.maximum(1.0, np.abs(u)) * np.finfo(float).eps ** 0.25
+
+    def second(i, j, first_arg):
+        def val(si, sj):
+            x = u.copy()
+            x[i] += si * h[i]
+            x[j] += sj * h[j]
+            a, b = ParameterPoint(pt.chart, x), ParameterPoint(pt.chart, u)
+            return fam.kl(a, b) if first_arg else fam.kl(b, a)
+
+        if i == j:
+            return (val(1, 0) - 2.0 * val(0, 0) + val(-1, 0)) / h[i] ** 2
+        return (val(1, 1) - val(1, -1) - val(-1, 1) + val(-1, -1)) / (4.0 * h[i] * h[j])
+
+    g = np.empty((d, d))
+    g_star = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            g[i, j] = g[j, i] = second(i, j, True)
+            g_star[i, j] = g_star[j, i] = second(i, j, False)
+    return g, g_star
+
+
+def assert_rel_close(batched, looped, rtol=1e-14):
+    assert batched.shape == looped.shape
+    assert np.max(np.abs(batched - looped)) <= rtol * np.max(np.abs(looped))
+
+
+@pytest.mark.parametrize("fam, chart", FAMILY_CHARTS, ids=FAMILY_CHART_IDS)
+def test_batched_metrics_and_kl_match_per_point_loop(fam, chart):
+    xs = batch_in_chart(fam, chart, 12)
+    ys = batch_in_chart(fam, chart, 12)
+    pts = ParameterPoint(chart, xs)
+    assert_rel_close(
+        G.fisher_metric(fam, pts).components,
+        np.stack([G.fisher_metric(fam, ParameterPoint(chart, x)).components for x in xs]),
+    )
+    g, g_star = G.divergence_hessians(fam, pts)
+    loop = [per_point_divergence_hessians(fam, ParameterPoint(chart, x)) for x in xs]
+    assert_rel_close(g, np.stack([a for a, _ in loop]))
+    assert_rel_close(g_star, np.stack([b for _, b in loop]))
+    kl = fam.kl(pts, ParameterPoint(chart, ys))
+    assert_rel_close(kl, np.array([fam.kl(ParameterPoint(chart, x), ParameterPoint(chart, y)) for x, y in zip(xs, ys)]))
+    # paired batches broadcast: one q against all p
+    assert_rel_close(
+        fam.kl(pts, ParameterPoint(chart, ys[0])),
+        np.array([fam.kl(ParameterPoint(chart, x), ParameterPoint(chart, ys[0])) for x in xs]),
+    )
+
+
+def test_batched_metric_checks_every_sample():
+    comps = np.stack([np.eye(2), np.array([[1.0, 0.2], [0.1, 1.0]])])
+    with pytest.raises(G.DegenerateMetricError, match="symmetric"):
+        G.MetricTensor(MEAN, ParameterPoint(MEAN, np.zeros((2, 2))), comps)
+    comps = np.stack([np.eye(2), np.array([[1.0, 0.0], [0.0, np.inf]])])
+    with pytest.raises(G.DegenerateMetricError, match="finite"):
+        G.MetricTensor(MEAN, ParameterPoint(MEAN, np.zeros((2, 2))), comps)
+
+
+def test_batched_validation_rejects_any_bad_point():
+    path = ParameterPoint(MEAN, np.array([[0.2], [0.5], [1.3]]))
+    with pytest.raises(InvalidParameterError, match=r"eta must lie in \(0, 1\)"):
+        G.fisher_metric(Bernoulli(), path)
+    # the stencil of a point near the boundary leaves the chart
+    with pytest.raises(InvalidParameterError, match=r"eta must lie in \(0, 1\)"):
+        G.divergence_hessians(Bernoulli(), ParameterPoint(MEAN, np.array([[0.5], [1e-6]])))
+    with pytest.raises(InvalidParameterError, match="sigma must be positive"):
+        G.divergence_hessians(Gaussian1D(), ParameterPoint(RAW, np.array([[0.0, 1.0], [0.0, 1e-6]])))
+
+
+def single_point_forbidden(fn):
+    """fn, raising when every ParameterPoint argument is a single point."""
+
+    def guarded(*args):
+        if all(a.coords.ndim == 1 for a in args if isinstance(a, ParameterPoint)):
+            raise AssertionError(f"single-point {fn.__name__} on the batched route")
+        return fn(*args)
+
+    return guarded
+
+
+def report_paths():
+    for fam, chart in FAMILY_CHARTS:
+        a, b = batch_in_chart(fam, chart, 2)
+        yield fam, L.ParamPath.straight(chart, a, b, 17)
+
+
+def test_length_report_takes_no_single_point_calls(monkeypatch):
+    for name in ("fisher_metric", "divergence_hessians"):
+        guarded = single_point_forbidden(getattr(G, name))
+        monkeypatch.setattr(G, name, guarded)
+        monkeypatch.setattr(L, name, guarded)
+    for cls in (Bernoulli, Categorical, Gaussian1D):
+        monkeypatch.setattr(cls, "kl", single_point_forbidden(cls.kl))
+    for fam, path in report_paths():
+        rep = L.length_report(path, fam)
+        assert np.isfinite([rep.primal, rep.dual, rep.harmonic, rep.divergence_based]).all()
+
+
+def test_length_report_evaluates_the_kl_stencil_once_per_argument_slot(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def counted(self, p, q):
+            calls.append((p.coords.shape, q.coords.shape))
+            return fn(self, p, q)
+
+        return counted
+
+    for cls in (Bernoulli, Categorical, Gaussian1D):
+        monkeypatch.setattr(cls, "kl", counting(cls.kl))
+    for fam, path in report_paths():
+        calls.clear()
+        L.length_report(path, fam)
+        d = fam.dim
+        stencil = (path.count, 2 * d * d + 1, d)
+        assert calls == [(stencil, (path.count, 1, d)), ((path.count, 1, d), stencil)]
+
+
+# -- Properties of the array kl ------------------------------------------
+# Wide and near-boundary ranges: Bernoulli means within 1e-12 of {0, 1} and
+# log-odds to +-500, Categorical log-odds to +-30 and weights down to 1e-6,
+# Gaussian sigma from 1e-3 to 1e3 and mu to +-1e3 sigma.  (A larger mu /
+# sigma leaves the mean chart's variance eta2 - eta1^2 to cancellation.)
+
+bern_mean = st.floats(1e-12, 1.0 - 1e-12).map(lambda e: [e])
+bern_natural = st.floats(-500.0, 500.0).map(lambda t: [t])
+cat_natural = st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3)
+cat_weights = st.lists(st.floats(1e-6, 1.0), min_size=4, max_size=4)
+cat_mean = cat_weights.map(lambda w: list(np.array(w[:-1]) / sum(w)))
+gauss_raw = st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(lambda zs: [zs[0] * zs[1], zs[1]])
+
+PROPERTY_CASES = {
+    "bernoulli-mean": (Bernoulli(), MEAN, bern_mean),
+    "bernoulli-natural": (Bernoulli(), NATURAL, bern_natural),
+    "categorical4-mean": (Categorical(4), MEAN, cat_mean),
+    "categorical4-natural": (Categorical(4), NATURAL, cat_natural),
+    "gaussian-raw": (Gaussian1D(), RAW, gauss_raw),
+}
+
+
+def paired_batches(coords):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.lists(coords, min_size=n, max_size=n), st.lists(coords, min_size=n, max_size=n))
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PROPERTY_CASES))
+def test_kl_properties(case):
+    fam, chart, coords = PROPERTY_CASES[case]
+
+    @given(paired_batches(coords))
+    def check(pair):
+        p = ParameterPoint(chart, np.array(pair[0]))
+        q = ParameterPoint(chart, np.array(pair[1]))
+        kl = fam.kl(p, q)
+        assert kl.shape == (p.coords.shape[0],)
+        assert np.all(kl >= -1e-13)
+        assert np.all(fam.kl(p, p) == 0.0)
+        # Bregman: psi(theta_q) + phi(eta_p) - <theta_q, eta_p> = D(p || q)
+        theta_q = fam.convert(q, NATURAL).coords
+        eta_p = fam.convert(p, MEAN).coords
+        psi, phi = fam.potential(theta_q), fam.dual_potential(eta_p)
+        inner = np.sum(theta_q * eta_p, axis=-1)
+        scale = 1.0 + np.abs(psi) + np.abs(phi) + np.abs(inner)
+        assert np.all(np.abs(psi + phi - inner - kl) <= 1e-9 * scale)
+
+    check()
+
+
+# g g* = I holds up to rounding amplified by the condition number of g, and
+# the chart change adds cancellation of its own: 1 - sum(eta) for the last
+# probability, eta2 - eta1^2 for the variance, and 1 - s for a sigmoid s
+# near 1 (Bernoulli psi'' = s (1 - s) at theta(eta) loses eps / (1 - eta)).
+# The draws keep that loss below the tolerance: Bernoulli means within 1e-3
+# of {0, 1}, log-odds to +-30, Categorical weights down to 1e-4 and
+# log-odds to +-10, Gaussian mu to +-100 sigma.
+METRIC_CASES = {
+    "bernoulli-mean": (Bernoulli(), MEAN, st.floats(1e-3, 1.0 - 1e-3).map(lambda e: [e])),
+    "bernoulli-natural": (Bernoulli(), NATURAL, st.floats(-30.0, 30.0).map(lambda t: [t])),
+    "categorical4-mean": (
+        Categorical(4), MEAN,
+        st.lists(st.floats(1e-4, 1.0), min_size=4, max_size=4).map(lambda w: list(np.array(w[:-1]) / sum(w))),
+    ),
+    "categorical4-natural": (Categorical(4), NATURAL, st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)),
+    "gaussian-raw": (
+        Gaussian1D(), RAW,
+        st.tuples(st.floats(-100.0, 100.0), st.floats(1e-3, 1e3)).map(lambda zs: [zs[0] * zs[1], zs[1]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(METRIC_CASES))
+def test_natural_and_mean_metrics_are_inverse(case):
+    fam, chart, coords = METRIC_CASES[case]
+
+    @given(st.lists(coords, min_size=1, max_size=6))
+    def check(xs):
+        pts = ParameterPoint(chart, np.array(xs))
+        g = G.fisher_metric(fam, fam.convert(pts, NATURAL)).components
+        g_star = G.fisher_metric(fam, fam.convert(pts, MEAN)).components
+        err = np.abs(g @ g_star - np.eye(fam.dim)).max(axis=(-2, -1))
+        cond = np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(g_star, axis=(-2, -1))
+        assert np.all(err <= 1e-12 * cond)
+
+    check()

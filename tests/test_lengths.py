@@ -9,6 +9,7 @@ from dualgeo.distributions import (
     Bernoulli,
     Categorical,
     Gaussian1D,
+    ParameterPoint,
     point,
 )
 from dualgeo import geometry as G
@@ -34,6 +35,27 @@ def categorical_fisher_distance(p, q):
     p = np.append(p, 1.0 - np.sum(p))
     q = np.append(q, 1.0 - np.sum(q))
     return 2.0 * np.arccos(np.sum(np.sqrt(p * q)))
+
+
+def divergence_length_curvature(path, family):
+    """Alternate estimator of the divergence-based length from the second
+    parameter-derivative, at coincidence, of the symmetrized divergence
+    D(x||y) + D(y||x) along the path."""
+    vel = np.gradient(path.samples, path.ts, axis=0)
+    integrand = np.empty(path.count)
+    for k in range(path.count):
+        u = path.samples[k]
+        v = vel[k]
+        h = 1e-4 / max(1.0, float(np.linalg.norm(v)))
+
+        def sym(s):
+            x = ParameterPoint(path.chart, u + s * v)
+            y = ParameterPoint(path.chart, u)
+            return family.kl(x, y) + family.kl(y, x)
+
+        second = (sym(h) - 2.0 * sym(0.0) + sym(-h)) / h**2
+        integrand[k] = np.sqrt(max(second, 0.0))
+    return float(np.trapezoid(integrand, path.ts))
 
 
 # -- paths --------------------------------------------------------------
@@ -105,7 +127,7 @@ def test_divergence_curvature_estimator_agrees():
     fam = Bernoulli()
     path = L.ParamPath.straight(MEAN, [0.25], [0.7], 65)
     ld = L.divergence_length(path, fam)
-    lc = L.divergence_length_curvature(path, fam)
+    lc = divergence_length_curvature(path, fam)
     assert abs(ld - lc) < 1e-5
 
 
@@ -138,6 +160,38 @@ def test_length_report_consistency():
     assert abs(rep.primal - L.primal_length(path, fam)) < 1e-12
     assert abs(rep.divergence_based - np.sqrt(2.0) * rep.primal) < 1e-6
     assert min(rep.primal, rep.dual) <= rep.harmonic + 1e-9
+
+
+@pytest.mark.parametrize(
+    "fam, chart, a, b",
+    [
+        (Bernoulli(), MEAN, [0.2], [0.75]),
+        (Bernoulli(), NATURAL, [-1.0], [1.5]),
+        (Categorical(3), MEAN, [0.2, 0.5], [0.5, 0.3]),
+        (Categorical(4), NATURAL, [0.3, -0.2, 0.5], [-0.4, 0.1, 0.2]),
+        (Gaussian1D(), RAW, [0.0, 1.0], [1.0, 2.0]),
+        (Gaussian1D(), NATURAL, [0.5, -0.5], [-0.3, -1.2]),
+        (Gaussian1D(), MEAN, [0.0, 1.0], [0.5, 2.0]),
+    ],
+)
+def test_length_report_matches_per_point_functionals(fam, chart, a, b):
+    # the one-pass report against each functional built from per-point fields
+    path = L.ParamPath.straight(chart, a, b, 33)
+    rep = L.length_report(path, fam)
+    pot = G.PotentialPair.from_family(fam)
+    theta = np.stack([fam.convert(point(chart, *c), NATURAL).coords for c in path.samples])
+
+    def g_star_field(coords):
+        return G.divergence_hessians(fam, ParameterPoint(chart, coords))[1]
+
+    oracles = {
+        "primal": L.path_length(path, G.metric_field(fam, chart)),
+        "dual": L.dual_length(L.ParamPath(NATURAL, theta, path.ts), pot),
+        "harmonic": L.harmonic_length(path, G.metric_field(fam, chart), g_star_field),
+        "divergence_based": L.path_length(path, lambda c: sum(G.divergence_hessians(fam, ParameterPoint(chart, c)))),
+    }
+    for name, oracle in oracles.items():
+        assert abs(getattr(rep, name) - oracle) <= 1e-14 * oracle, name
 
 
 # -- geodesics ----------------------------------------------------------
