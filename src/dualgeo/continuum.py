@@ -49,11 +49,16 @@ class DeflectionField:
             raise ValueError("deflections must be finite")
 
 
-def membrane_closed_form(prob: MembraneProblem, r: float) -> float:
-    """Parabolic deflection w(r) = p (r^2 - R^2) / (4 T)."""
-    if not 0.0 <= r <= prob.radius:
+def membrane_closed_form(prob: MembraneProblem, r):
+    """Parabolic deflection w(r) = p (r^2 - R^2) / (4 T): a float at one
+    radius, an array at an array of radii."""
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= r) & (r <= prob.radius)):
         raise ValueError("r outside the clamped disk")
-    return prob.pressure * (r**2 - prob.radius**2) / (4.0 * prob.tension)
+    # float_power is libm pow, as r**2 of one radius; r**2 of an array squares,
+    # which differs in the last bit at some radii
+    w = prob.pressure * (np.float_power(r, 2) - prob.radius**2) / (4.0 * prob.tension)
+    return float(w) if w.ndim == 0 else w
 
 
 def membrane_solve(prob: MembraneProblem, pressure_profile=None) -> DeflectionField:
@@ -77,15 +82,15 @@ def membrane_solve(prob: MembraneProblem, pressure_profile=None) -> DeflectionFi
     ab[1, 0] = -4.0 / h**2
     ab[0, 1] = 4.0 / h**2
     rhs[0] = load[0] / prob.tension
-    for i in range(1, n):
-        rp = r[i] + 0.5 * h
-        rm = r[i] - 0.5 * h
-        ab[2, i - 1] = rm / (r[i] * h**2)  # sub-diagonal (w_{i-1})
-        ab[1, i] = -(rp + rm) / (r[i] * h**2)
-        rhs[i] = load[i] / prob.tension
-        if i + 1 < n:
-            ab[0, i + 1] = rp / (r[i] * h**2)
-        # w_n = 0 contributes nothing to the right-hand side
+    # rows i = 1 .. n-1; w_n = 0 contributes nothing to the right-hand side
+    ri = r[1:n]
+    rp = ri + 0.5 * h
+    rm = ri - 0.5 * h
+    scale = ri * h**2
+    ab[2, : n - 1] = rm / scale  # sub-diagonal (w_{i-1})
+    ab[1, 1:] = -(rp + rm) / scale
+    ab[0, 2:] = rp[:-1] / scale[:-1]  # super-diagonal (w_{i+1}), absent in row n-1
+    rhs[1:] = load[1:n] / prob.tension
     w = solve_banded((1, 1), ab, rhs)
     return DeflectionField(r, np.append(w, 0.0))
 
@@ -93,8 +98,7 @@ def membrane_solve(prob: MembraneProblem, pressure_profile=None) -> DeflectionFi
 def membrane_max_error(prob: MembraneProblem) -> float:
     """Max abs difference between the FD solve and the parabolic solution."""
     field = membrane_solve(prob)
-    exact = np.array([membrane_closed_form(prob, ri) for ri in field.radii])
-    return float(np.max(np.abs(field.deflections - exact)))
+    return float(np.max(np.abs(field.deflections - membrane_closed_form(prob, field.radii))))
 
 
 def membrane_convergence_order(prob: MembraneProblem, nodes=(64, 128, 256)) -> list:

@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_expit, logsumexp, xlogy
+from scipy.special import expit, log_expit, logsumexp, xlogy
 
 NATURAL = "natural"
 MEAN = "mean"
@@ -79,12 +79,22 @@ def _scalar(x):
 def _components(x):
     """The components of x along its last axis, each of the batch shape:
     numpy scalars for a single point, which keeps its arithmetic scalar."""
-    return tuple(x) if x.ndim == 1 else tuple(np.moveaxis(x, -1, 0))
+    return tuple(x) if x.ndim == 1 else tuple(x[..., i] for i in range(x.shape[-1]))
 
 
 def _all(mask):
     """mask.all(), without the array reduction for a single point's scalar."""
     return bool(mask) if mask.ndim == 0 else bool(mask.all())
+
+
+def cubic_pullback(t, m):
+    """sum_abc t[..., a, b, c] m[..., a, i] m[..., b, j] m[..., c, k] at every
+    point of a batch, as three batched matrix products (a four-operand einsum
+    over batch axes is several times slower)."""
+    d = m.shape[-1]
+    mt = m.swapaxes(-1, -2)
+    u = mt[..., None, :, :] @ (t @ m[..., None, :, :])  # [a, j, k]
+    return (mt @ u.reshape(u.shape[:-3] + (d, d * d))).reshape(u.shape)
 
 
 def _pack(nested, batch):
@@ -93,7 +103,7 @@ def _pack(nested, batch):
     a = np.array(nested)
     if batch:
         r = a.ndim - len(batch)
-        a = np.moveaxis(a, tuple(range(r)), tuple(range(-r, 0)))
+        a = a.transpose(tuple(range(r, a.ndim)) + tuple(range(r)))
     return a
 
 
@@ -177,28 +187,30 @@ class DistributionFamily(ABC):
         return -self.hess_potential(theta)
 
     def _natural_jacobian(self, pt: ParameterPoint) -> np.ndarray:
-        """Jacobian d theta_a / d u_i of the map into the natural chart, (..., d, d)."""
+        """Jacobian d theta_a / d u_i of the map into the natural chart,
+        (..., d, d); in the natural chart the identity (d, d), which
+        broadcasts against any batch."""
         if pt.chart == NATURAL:
-            eye = np.eye(self.dim)
-            return eye if pt.coords.ndim == 1 else np.broadcast_to(eye, pt.coords.shape + (self.dim,))
+            return np.eye(self.dim)
         if pt.chart == MEAN:
             # theta(eta) = grad phi, so the Jacobian is the dual Hessian
             return self.hess_dual_potential(pt.coords)
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
-    def _natural_jacobian_derivative(self, pt: ParameterPoint, jac=None, psi3=None) -> np.ndarray:
-        """H[a, i, j] = d^2 theta_a / d u_i d u_j of the map into the natural
-        chart at one point.  A caller that holds the Jacobian and psi'''(theta)
-        at pt passes them in, so the mean chart does not recompute them."""
+    def _natural_jacobian_derivative(self, pt: ParameterPoint, cubic=None) -> np.ndarray:
+        """H[..., a, i, j] = d^2 theta_a / d u_i d u_j of the map into the
+        natural chart, (..., d, d, d).  In the mean chart H is minus psi'''
+        pulled back by the Jacobian phi''; a caller that holds that cubic form,
+        `cubic_pullback(psi3, jac)`, passes it in."""
         if pt.chart == NATURAL:
-            return np.zeros((self.dim,) * 3)
+            return np.zeros(pt.coords.shape[:-1] + (self.dim,) * 3)
         if pt.chart == MEAN:
-            # d phi'' = -phi'' (d psi'') phi'' and d psi''_de / d eta_j = psi_def phi''_fj
-            if jac is None:
-                jac = self.hess_dual_potential(pt.coords)
-            if psi3 is None:
+            # d phi'' = -phi'' (d psi'') phi'' and d psi''_de / d eta_j = psi_def phi''_fj,
+            # so H_aij = -phi''_ad psi_def phi''_ei phi''_fj, with phi'' symmetric
+            if cubic is None:
                 psi3 = self.third_potential(self.grad_dual_potential(pt.coords))
-            return -np.einsum("ad,def,ei,fj->aij", jac, psi3, jac, jac)
+                cubic = cubic_pullback(psi3, self.hess_dual_potential(pt.coords))
+            return -cubic
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
     def score(self, pt: ParameterPoint, x) -> np.ndarray:
@@ -326,12 +338,15 @@ class Bernoulli(_DiscreteFamily):
         return 1.0 / (1.0 + np.exp(-np.asarray(theta, dtype=float)))
 
     def hess_potential(self, theta):
-        s = self.grad_potential(theta)
-        return (s * (1.0 - s))[..., None]
+        # s (1 - s) from the two tails: a rounded s loses 1 - s near eta = 1
+        t = np.asarray(theta, dtype=float)
+        return (expit(t) * expit(-t))[..., None]
 
     def third_potential(self, theta):
-        s = self.grad_potential(theta)
-        return (s * (1.0 - s) * (1.0 - 2.0 * s))[..., None, None]
+        # s (1 - s) (1 - 2 s), with 1 - 2 s = (1 - s) - s
+        t = np.asarray(theta, dtype=float)
+        s, r = expit(t), expit(-t)
+        return (s * r * (r - s))[..., None, None]
 
     def dual_potential(self, eta):
         # xlogy keeps 0 log 0 = 0 where a saturated sigmoid gives eta in {0, 1}
@@ -441,6 +456,12 @@ def _softmax(theta):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# Smallest raw sigma whose inverse powers stay finite: the natural coordinates
+# of (mu, sigma), the chart derivatives and psi'', psi''' there carry powers of
+# 1 / sigma up to the eighth (the factor 2 is headroom for their rounding).
+_SIGMA_MIN = 2.0 * np.finfo(float).max ** -0.125
+
+
 class Gaussian1D(DistributionFamily):
     """Normal distribution on the line with raw, natural, and mean charts.
 
@@ -464,10 +485,14 @@ class Gaussian1D(DistributionFamily):
             raise InvalidParameterError("Gaussian1D has two parameters")
         first, second = _components(c)
         if pt.chart == RAW:
-            if not _all(second > 0.0):
+            if not _all(second >= _SIGMA_MIN):
                 if not _all(second != 0.0):
                     raise BoundaryParameterError("sigma = 0")
-                raise InvalidParameterError("sigma must be positive")
+                if not _all(second > 0.0):
+                    raise InvalidParameterError("sigma must be positive")
+                raise InvalidParameterError(
+                    f"sigma must be at least {_SIGMA_MIN:.3g}, where 1 / sigma^8 nears overflow"
+                )
         elif pt.chart == NATURAL:
             if not _all(second < 0.0):
                 raise InvalidParameterError("second natural parameter must be negative")
@@ -580,15 +605,17 @@ class Gaussian1D(DistributionFamily):
             )
         return super()._natural_jacobian(pt)
 
-    def _natural_jacobian_derivative(self, pt: ParameterPoint, jac=None, psi3=None) -> np.ndarray:
+    def _natural_jacobian_derivative(self, pt: ParameterPoint, cubic=None) -> np.ndarray:
         if pt.chart == RAW:
             # theta = (mu / sigma^2, -1 / (2 sigma^2))
-            mu, sigma = pt.coords
+            mu, sigma = _components(pt.coords)
             s3, s4 = sigma**3, sigma**4
-            return np.array(
-                [[[0.0, -2.0 / s3], [-2.0 / s3, 6.0 * mu / s4]], [[0.0, 0.0], [0.0, -3.0 / s4]]]
+            zero = np.zeros(pt.coords.shape[:-1])
+            return _pack(
+                [[[zero, -2.0 / s3], [-2.0 / s3, 6.0 * mu / s4]], [[zero, zero], [zero, -3.0 / s4]]],
+                pt.coords.shape[:-1],
             )
-        return super()._natural_jacobian_derivative(pt, jac, psi3)
+        return super()._natural_jacobian_derivative(pt, cubic)
 
     def kl(self, p: ParameterPoint, q: ParameterPoint):
         mu1, s1 = self._raw(p)

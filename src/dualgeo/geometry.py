@@ -16,10 +16,12 @@ the exponential (alpha = 1), Levi-Civita (alpha = 0), and mixture
 (alpha = -1) connections.  Hessians of the KL divergence give the
 independent metric route that the length functionals cross-check.
 
-`fisher_metric` and `divergence_hessians` follow the batch convention of
-`distributions`: a ParameterPoint with coordinates (..., d) gives metrics
-(..., d, d), and a single point is the no-batch case.  The connections are
-evaluated one point at a time.
+`fisher_metric`, `divergence_hessians`, `christoffel_first_kind` and
+`christoffel` follow the batch convention of `distributions`: a
+ParameterPoint with coordinates (..., d) gives metrics (..., d, d) and
+connection coefficients (..., d, d, d), and a single point is the no-batch
+case of the same code.  The upper index of a batch of connections comes from
+one batched linear solve with the metrics.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .distributions import (
     ChartError,
     DistributionFamily,
     ParameterPoint,
+    cubic_pullback,
 )
 
 PRIMAL = "primal"
@@ -64,7 +67,8 @@ class MetricTensor:
 
 @dataclass(frozen=True)
 class ChristoffelArray:
-    """Connection coefficients Gamma^i_{jk}; components[i, j, k], symmetric in (j, k)."""
+    """Connection coefficients Gamma^i_{jk}; components[..., i, j, k],
+    symmetric in (j, k), with the batch axes of the point."""
 
     chart: str
     at: ParameterPoint
@@ -163,9 +167,16 @@ def _pullback(jac, psi2):
 
 def fisher_metric(family: DistributionFamily, pt: ParameterPoint) -> MetricTensor:
     """Fisher information J^T psi''(theta) J in the chart of pt, at every
-    point of a batch: coordinates (..., d) give components (..., d, d)."""
+    point of a batch: coordinates (..., d) give components (..., d, d).
+    Raises DegenerateMetricError where the metric is not positive definite,
+    as where psi'' underflows to 0 far out in the natural chart."""
     _, jac, psi2 = _natural_frame(family, pt)
-    return MetricTensor(pt.chart, pt, _pullback(jac, psi2))
+    metric = MetricTensor(pt.chart, pt, _pullback(jac, psi2))
+    try:
+        np.linalg.cholesky(metric.components)
+    except np.linalg.LinAlgError:
+        raise DegenerateMetricError("Fisher metric not positive definite") from None
+    return metric
 
 
 def legendre_dual(pot: PotentialPair, theta: ParameterPoint):
@@ -225,32 +236,37 @@ def dual_metrics(pot: PotentialPair, theta: ParameterPoint):
 
 def _first_kind(family, pt, alpha, theta, jac, psi2):
     w = 0.5 * (1.0 - alpha)
-    # psi''' once per call: the cubic term needs it unless alpha = 1, and the
-    # mean chart's bending needs it for every alpha
-    psi3 = family.third_potential(theta) if w != 0.0 or pt.chart == MEAN else None
+    # psi_abc J^a_i J^b_j J^c_k once per call: the cubic term needs it unless
+    # alpha = 1, and the mean chart's bending is minus it for every alpha
+    need_cubic = w != 0.0 or pt.chart == MEAN
+    cubic = cubic_pullback(family.third_potential(theta), jac) if need_cubic else None
     # psi_ab H^a_ij J^b_k: the bending of the chart, the same for every alpha
-    bend = family._natural_jacobian_derivative(pt, jac, psi3)
-    lower = np.einsum("aij,ab,bk->ijk", bend, psi2, jac)
+    bend = family._natural_jacobian_derivative(pt, cubic)
+    lower = np.einsum("...aij,...ak->...ijk", bend, psi2 @ jac)
     if w != 0.0:
-        lower += w * np.einsum("abc,ai,bj,ck->ijk", psi3, jac, jac, jac)
+        lower += w * cubic
     return lower
 
 
 def christoffel_first_kind(
     family: DistributionFamily, pt: ParameterPoint, alpha: float
 ) -> np.ndarray:
-    """Lower-index coefficients Gamma^(alpha)_{ij,k}, components[i, j, k]."""
+    """Lower-index coefficients Gamma^(alpha)_{ij,k}, components[..., i, j, k]."""
     return _first_kind(family, pt, alpha, *_natural_frame(family, pt))
 
 
 def christoffel(
     family: DistributionFamily, pt: ParameterPoint, alpha: float
 ) -> ChristoffelArray:
-    """Alpha-connection coefficients Gamma^i_{jk} = g^il Gamma_{jk,l} in the chart of pt."""
+    """Alpha-connection coefficients Gamma^i_{jk} = g^il Gamma_{jk,l} in the
+    chart of pt: coordinates (..., d) give components (..., d, d, d)."""
     theta, jac, psi2 = _natural_frame(family, pt)
     lower = _first_kind(family, pt, alpha, theta, jac, psi2)
-    d = jac.shape[1]
-    comps = np.linalg.solve(_pullback(jac, psi2), lower.reshape(d * d, d).T).reshape(d, d, d)
+    d = jac.shape[-1]
+    batch = lower.shape[:-3]
+    # rows l, columns (j, k): one solve with g raises the index at every point
+    rhs = lower.reshape(batch + (d * d, d)).swapaxes(-1, -2)
+    comps = np.linalg.solve(_pullback(jac, psi2), rhs).reshape(batch + (d, d, d))
     return ChristoffelArray(pt.chart, pt, float(alpha), comps)
 
 

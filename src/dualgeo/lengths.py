@@ -5,18 +5,24 @@ sampled path, with velocities from second-order finite differences on the
 parameter grid and the metric G as an (n, d, d) array over the n samples.
 `length_report` evaluates every metric it needs on the whole path at once
 (see its docstring); `path_length` stacks a per-point metric callable into
-the same quadrature.  Geodesics are straight segments in the flat chart for
-alpha = +/-1 and a shooting RK4 integration of the Levi-Civita geodesic
-equation for alpha = 0, with closed-form Christoffel symbols at every
-stage.  A shot that leaves the chart's domain or meets a singular or
-overflowing metric is a NonConvergenceError, like a shot that misses.
+the same quadrature.
+
+Geodesics are straight segments in the flat chart for alpha = +/-1.  The
+Levi-Civita geodesic (alpha = 0) is shot: a damped Newton iteration on the
+initial velocity drives the miss at t = 1 to zero.  Each iteration integrates
+the trial velocity and its d forward-difference perturbations together, as
+one (d + 1, 2d) RK4 state of positions and velocities, so every stage makes
+one batched closed-form `christoffel` call on d + 1 points, and the perturbed
+endpoints give the Jacobian of the miss.  A trial that leaves the chart's
+domain or meets a singular or overflowing metric halves the Newton step.  A
+step that still fails after _HALVINGS halvings, or a miss above `tol` after
+_NEWTON_ITERATIONS iterations, is a NonConvergenceError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
 from .distributions import (
     MEAN,
@@ -32,6 +38,13 @@ from .geometry import (
     divergence_hessians,
     fisher_metric,
 )
+
+
+# Shooting limits: Newton iterations (three to six converge on the geodesics
+# the tests and the benchmark shoot), and halvings of one Newton step, which
+# may shrink it to 1/64 before the shot fails.
+_NEWTON_ITERATIONS = 20
+_HALVINGS = 6
 
 
 @dataclass(frozen=True)
@@ -202,53 +215,71 @@ def geodesic(
         return ParamPath(chart, np.tile(x0, (count, 1)))
 
     d = x0.size
+    h = 1.0 / steps
 
     def rhs(state):
-        x, v = state[:d], state[d:]
+        # rows (x, v) of each shot; one christoffel call validates and
+        # evaluates all d + 1 positions
+        x, v = state[:, :d], state[:, d:]
         gamma = christoffel(family, ParameterPoint(chart, x), 0.0).components
-        return np.concatenate([v, -(gamma @ v) @ v])
+        acc = (gamma @ v[:, None, :, None])[..., 0] @ v[:, :, None]
+        return np.concatenate([v, -acc[..., 0]], axis=1)
 
-    def integrate(v0):
-        state = np.concatenate([x0, v0])
-        h = 1.0 / steps
-        traj = [x0.copy()]
-        for _ in range(steps):
+    def shoot(v0):
+        """Trajectory (steps + 1, d) from x0 with velocity v0, and its
+        sensitivity [t, i, j] = d x_j(t) / d v0_i from the shots at
+        v0 + eps_i e_i."""
+        eps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(v0))
+        velocities = v0 + np.vstack([np.zeros(d), np.diag(eps)])
+        state = np.hstack([np.tile(x0, (d + 1, 1)), velocities])
+        paths = np.empty((steps + 1, d + 1, d))
+        paths[0] = x0
+        for n in range(steps):
             k1 = rhs(state)
             k2 = rhs(state + 0.5 * h * k1)
             k3 = rhs(state + 0.5 * h * k2)
             k4 = rhs(state + h * k3)
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            traj.append(state[:d].copy())
-        return np.stack(traj)
+            paths[n + 1] = state[:, :d]
+        return paths[:, 0], (paths[:, 1:] - paths[:, :1]) / eps[:, None]
 
-    # The last trial's velocity, trajectory and miss: root usually returns the
-    # velocity it tried last, whose trajectory then needs no re-integration.
-    last = {"v0": None, "traj": None, "miss": float("nan"), "nfev": 0}
-
-    def miss(v0):
-        last["nfev"] += 1
-        traj = integrate(v0)
-        last["v0"], last["traj"] = v0.copy(), traj
-        last["miss"] = float(np.max(np.abs(traj[-1] - x1)))
-        return traj[-1] - x1
-
+    # Newton from v = 0, whose path stays at x0: its step x1 - x0 is the first
+    # trial, halved like any other step that fails
+    v, step = np.zeros(d), x1 - x0
+    miss = float(np.max(np.abs(step)))
+    integrations = 0
     try:
-        # a trial velocity may carry the path out of the chart's domain or
-        # into a singular or overflowing metric: that is a failed shot
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            sol = root(miss, x1 - x0, method="hybr", tol=tol * 1e-2)
+            for _ in range(_NEWTON_ITERATIONS):
+                for halvings_left in range(_HALVINGS, -1, -1):
+                    integrations += 1
+                    try:
+                        traj, sens = shoot(v + step)
+                        break
+                    except (InvalidParameterError, np.linalg.LinAlgError, FloatingPointError):
+                        if not halvings_left:
+                            raise
+                        step = 0.5 * step
+                v = v + step
+                residual = traj[-1] - x1
+                miss = float(np.max(np.abs(residual)))
+                step = -np.linalg.solve(sens[-1].T, residual)
+                if miss <= tol * 1e-2:
+                    break
     except (InvalidParameterError, np.linalg.LinAlgError, FloatingPointError) as exc:
         raise NonConvergenceError(
-            f"geodesic shooting failed in integration {last['nfev']}, "
-            f"last miss {last['miss']:.3g}: {exc}"
+            f"geodesic shooting failed in integration {integrations}, "
+            f"last miss {miss:.3g}: {exc}"
         ) from exc
-    residual = float(np.max(np.abs(sol.fun)))
-    if not sol.success or residual > tol:
+    if miss > tol:
         raise NonConvergenceError(
-            f"geodesic shooting did not converge: miss {residual:.3g} "
-            f"after {sol.nfev} integrations"
+            f"geodesic shooting did not converge: miss {miss:.3g} "
+            f"after {integrations} integrations"
         )
-    traj = last["traj"] if np.array_equal(last["v0"], sol.x) else integrate(sol.x)
+    # The pending Newton step, carried along the whole path by its
+    # sensitivity: the endpoint lands on x1 to rounding, and the path matches
+    # the shot at v + step to O(step^2), without another integration.
+    traj = traj + step @ sens
     ts = np.linspace(0.0, 1.0, steps + 1)
     if count != steps + 1:
         tq = np.linspace(0.0, 1.0, count)

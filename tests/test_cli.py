@@ -180,6 +180,36 @@ def test_wide_bernoulli_geodesic_exits_3_or_joins_endpoints(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: numerics: ")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wide_bernoulli_geodesic_runs_linearly_in_arcsin_sqrt_eta(tmp_path):
+    # the first trial velocity 0.8 overshoots eta = 1 and is halved; the
+    # Levi-Civita geodesic runs at constant speed in arcsin sqrt(eta)
+    argv = ["geodesic", "--family", "bernoulli", "--chart", "mean", "--a", "0.1", "--b", "0.9", "--alpha", "0"]
+    code, data = run(argv, tmp_path)
+    assert code == 0
+    t, eta = np.array(tables.from_csv(data).rows).T
+    assert abs(eta[0] - 0.1) < 1e-12 and abs(eta[-1] - 0.9) < 1e-8
+    phi = np.arcsin(np.sqrt(eta))
+    assert np.max(np.abs(phi - (phi[0] + t * (phi[-1] - phi[0])))) < 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        # s(800) s(-800) underflows: no positive definite metric, not g = 0
+        (["fisher", "--family", "bernoulli", "--chart", "natural", "--point", "800"], "positive definite"),
+        # 1 / sigma^2 and its higher powers overflow
+        (["fisher", "--family", "gaussian", "--chart", "raw", "--point", "0,1e-200"], "sigma must be at least"),
+    ],
+)
+def test_unrepresentable_metric_exits_2(argv, reason, tmp_path, capsys):
+    code, data = run(argv, tmp_path)
+    assert code == 2 and data == b""
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameters: ") and reason in err
+
+
 BERRY = ["berry", "--theta-c", "1.0"]
 
 

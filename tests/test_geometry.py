@@ -643,13 +643,15 @@ def test_kl_properties(case):
 
 # g g* = I holds up to rounding amplified by the condition number of g, and
 # the chart change adds cancellation of its own: 1 - sum(eta) for the last
-# probability, eta2 - eta1^2 for the variance, and 1 - s for a sigmoid s
-# near 1 (Bernoulli psi'' = s (1 - s) at theta(eta) loses eps / (1 - eta)).
-# The draws keep that loss below the tolerance: Bernoulli means within 1e-3
-# of {0, 1}, log-odds to +-30, Categorical weights down to 1e-4 and
-# log-odds to +-10, Gaussian mu to +-100 sigma.
+# probability and eta2 - eta1^2 for the variance.  The draws keep that loss
+# below the tolerance: Bernoulli means within 1e-12 of {0, 1}, log-odds to
+# +-30, Categorical weights down to 1e-4 and log-odds to +-10, Gaussian mu to
+# +-100 sigma.  A natural draw is compared at the natural coordinates of its
+# mean image: rounding eta = s(theta) near 1 moves 1 - eta by a relative
+# eps / (1 - eta) (1e-3 at log-odds 30), which no metric of the rounded eta
+# can undo, while (theta(eta), eta) is an exactly dual pair.
 METRIC_CASES = {
-    "bernoulli-mean": (Bernoulli(), MEAN, st.floats(1e-3, 1.0 - 1e-3).map(lambda e: [e])),
+    "bernoulli-mean": (Bernoulli(), MEAN, st.floats(1e-12, 1.0 - 1e-12).map(lambda e: [e])),
     "bernoulli-natural": (Bernoulli(), NATURAL, st.floats(-30.0, 30.0).map(lambda t: [t])),
     "categorical4-mean": (
         Categorical(4), MEAN,
@@ -670,10 +672,46 @@ def test_natural_and_mean_metrics_are_inverse(case):
     @given(st.lists(coords, min_size=1, max_size=6))
     def check(xs):
         pts = ParameterPoint(chart, np.array(xs))
-        g = G.fisher_metric(fam, fam.convert(pts, NATURAL)).components
-        g_star = G.fisher_metric(fam, fam.convert(pts, MEAN)).components
+        eta = fam.convert(pts, MEAN)
+        g = G.fisher_metric(fam, fam.convert(eta if chart == NATURAL else pts, NATURAL)).components
+        g_star = G.fisher_metric(fam, eta).components
         err = np.abs(g @ g_star - np.eye(fam.dim)).max(axis=(-2, -1))
         cond = np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(g_star, axis=(-2, -1))
         assert np.all(err <= 1e-12 * cond)
 
     check()
+
+
+@pytest.mark.parametrize("eta", [1.0 - 1e-8, 1e-8, 1.0 - 1e-15])
+def test_bernoulli_metrics_inverse_near_the_boundary(eta):
+    # psi'' = s(theta) s(-theta) keeps 1 - s accurate, where s (1 - s) from a
+    # rounded s loses up to a relative eps / (1 - eta): |g g* - 1| = 0.23 at
+    # eta = 1 - 1e-15
+    fam = Bernoulli()
+    pt = point(MEAN, eta)
+    g = G.fisher_metric(fam, fam.convert(pt, NATURAL)).components
+    g_star = G.fisher_metric(fam, pt).components
+    assert abs(g[0, 0] * g_star[0, 0] - 1.0) <= 1e-12
+
+
+def test_fisher_metric_rejects_a_metric_that_is_not_positive_definite():
+    # s(800) s(-800) underflows to 0: no metric, rather than g = 0
+    with pytest.raises(G.DegenerateMetricError, match="positive definite"):
+        G.fisher_metric(Bernoulli(), point(NATURAL, 800.0))
+    with pytest.raises(G.DegenerateMetricError, match="positive definite"):
+        G.fisher_metric(Bernoulli(), ParameterPoint(NATURAL, np.array([[0.0], [-800.0]])))
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.4, 1.0])
+@pytest.mark.parametrize("fam, chart", FAMILY_CHARTS, ids=FAMILY_CHART_IDS)
+def test_batched_christoffel_matches_per_point_loop(fam, chart, alpha):
+    xs = batch_in_chart(fam, chart, 12)
+    looped = np.stack([G.christoffel(fam, ParameterPoint(chart, x), alpha).components for x in xs])
+    assert_rel_close(G.christoffel(fam, ParameterPoint(chart, xs), alpha).components, looped)
+    # any leading batch shape
+    grid = ParameterPoint(chart, xs.reshape(3, 4, -1))
+    assert_rel_close(G.christoffel(fam, grid, alpha).components, looped.reshape((3, 4) + looped.shape[1:]))
+    assert_rel_close(
+        G.christoffel_first_kind(fam, ParameterPoint(chart, xs), alpha),
+        np.stack([G.christoffel_first_kind(fam, ParameterPoint(chart, x), alpha) for x in xs]),
+    )

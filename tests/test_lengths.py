@@ -248,6 +248,29 @@ def test_geodesic_shooting_failure_reports_miss_and_integrations():
         L.geodesic(Bernoulli(), NATURAL, point(NATURAL, -30.0), point(NATURAL, 30.0), alpha=0)
 
 
+def test_geodesic_shooting_integrates_each_trial_with_its_perturbations(monkeypatch):
+    # one christoffel call per RK4 stage, on the trial and its d perturbations
+    calls = []
+
+    def counted(family, pt, alpha):
+        calls.append(pt.coords.shape)
+        return G.christoffel(family, pt, alpha)
+
+    monkeypatch.setattr(L, "christoffel", counted)
+    steps = 16
+    for fam, chart, a, b in [
+        (Bernoulli(), MEAN, [0.2], [0.8]),
+        (Categorical(3), MEAN, [0.2, 0.5], [0.5, 0.3]),
+        (Gaussian1D(), RAW, [0.0, 1.0], [1.0, 2.0]),
+    ]:
+        calls.clear()
+        L.geodesic(fam, chart, point(chart, *a), point(chart, *b), alpha=0, count=steps + 1, steps=steps)
+        d = fam.dim
+        assert set(calls) == {(d + 1, d)}
+        iterations, rest = divmod(len(calls), 4 * steps)
+        assert rest == 0 and 2 <= iterations <= 6
+
+
 def test_geodesic_rejects_bad_alpha():
     fam = Bernoulli()
     with pytest.raises(ValueError):
