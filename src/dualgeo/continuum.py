@@ -65,8 +65,24 @@ def membrane_solve(prob: MembraneProblem, pressure_profile=None) -> DeflectionFi
     """Finite-difference solve of T (w'' + w'/r) = p with w'(0) = 0, w(R) = 0.
 
     A radially varying load may be supplied as `pressure_profile(r)`; by
-    default the uniform load of the problem is used.
+    default the uniform load of the problem is used.  A stencil, load or
+    deflection that overflows, or a grid spacing whose square underflows to
+    0, is a NonConvergenceError: the problem is valid, but its discrete
+    system is not representable in double precision.
     """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            r, w = _membrane_deflections(prob, pressure_profile)
+    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+        raise NonConvergenceError(f"membrane solve overflowed: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise NonConvergenceError("membrane solve overflowed: deflections not finite")
+    return DeflectionField(r, np.append(w, 0.0))
+
+
+def _membrane_deflections(prob, pressure_profile):
+    """The radial nodes r_0 .. r_n and the deflections w_0 .. w_{n-1} at the
+    unclamped ones."""
     n = prob.radial_nodes
     h = prob.radius / n
     r = np.linspace(0.0, prob.radius, n + 1)
@@ -91,8 +107,7 @@ def membrane_solve(prob: MembraneProblem, pressure_profile=None) -> DeflectionFi
     ab[1, 1:] = -(rp + rm) / scale
     ab[0, 2:] = rp[:-1] / scale[:-1]  # super-diagonal (w_{i+1}), absent in row n-1
     rhs[1:] = load[1:n] / prob.tension
-    w = solve_banded((1, 1), ab, rhs)
-    return DeflectionField(r, np.append(w, 0.0))
+    return r, solve_banded((1, 1), ab, rhs)
 
 
 def membrane_max_error(prob: MembraneProblem) -> float:

@@ -5,8 +5,10 @@ natural-parameter chart and a mean-parameter chart (plus a raw (mu, sigma)
 chart for the Gaussian).  Each family gives the log-partition psi and its
 first three derivatives in closed form, together with the first and second
 derivatives of every chart map into the natural chart; the mean-to-natural
-Jacobian is the Hessian of the dual potential.  These are all the geometry
-module needs for Fisher metrics and alpha-connections.  Scores and
+Jacobian is the Hessian of the dual potential.  `cubic_form` contracts
+psi''' twice with a vector and `hess_dual_potential_product` applies phi''
+to one, each in closed form, as geodesic sprays need.  These are all the
+geometry module needs for Fisher metrics and alpha-connections.  Scores and
 log-density Hessians of single outcomes are transported from the natural
 chart by the chain rule; expectations are exact sums for discrete families
 and Gauss-Hermite quadrature for the Gaussian.
@@ -160,6 +162,12 @@ class DistributionFamily(ABC):
     def third_potential(self, theta) -> np.ndarray:
         """psi_abc(theta): the third cumulant tensor of the sufficient statistic."""
 
+    def cubic_form(self, theta, u) -> np.ndarray:
+        """psi_abc(theta) u^a u^b, (..., d): the third cumulant contracted
+        twice with u at every point of a batch.  Families override it with a
+        closed form that does not build the d^3 tensor."""
+        return np.einsum("...abc,...a,...b->...c", self.third_potential(theta), u, u)
+
     @abstractmethod
     def dual_potential(self, eta):
         """Legendre dual phi(eta) = <theta(eta), eta> - psi(theta(eta))."""
@@ -171,6 +179,11 @@ class DistributionFamily(ABC):
     @abstractmethod
     def hess_dual_potential(self, eta) -> np.ndarray:
         ...
+
+    def hess_dual_potential_product(self, eta, v) -> np.ndarray:
+        """phi''(eta) v, (..., d), at every point of a batch.  A family whose
+        phi'' is structured overrides it without building the d x d matrix."""
+        return (self.hess_dual_potential(eta) @ v[..., None])[..., 0]
 
     # -- log-density machinery ------------------------------------------
 
@@ -335,7 +348,7 @@ class Bernoulli(_DiscreteFamily):
         return _scalar(np.logaddexp(0.0, np.asarray(theta, dtype=float)[..., 0]))
 
     def grad_potential(self, theta):
-        return 1.0 / (1.0 + np.exp(-np.asarray(theta, dtype=float)))
+        return expit(np.asarray(theta, dtype=float))
 
     def hess_potential(self, theta):
         # s (1 - s) from the two tails: a rounded s loses 1 - s near eta = 1
@@ -347,6 +360,11 @@ class Bernoulli(_DiscreteFamily):
         t = np.asarray(theta, dtype=float)
         s, r = expit(t), expit(-t)
         return (s * r * (r - s))[..., None, None]
+
+    def cubic_form(self, theta, u):
+        t = np.asarray(theta, dtype=float)
+        s, r = expit(t), expit(-t)
+        return s * r * (r - s) * u**2
 
     def dual_potential(self, eta):
         # xlogy keeps 0 log 0 = 0 where a saturated sigmoid gives eta in {0, 1}
@@ -418,6 +436,16 @@ class Categorical(_DiscreteFamily):
         pn = p[..., :, None] * n
         return p[..., :, None, None] * (n[..., :, :, None] * n[..., :, None, :] - pn[..., None, :, :])
 
+    def cubic_form(self, theta, u):
+        # the third central moment E[(Y - m)^2 (T_c - p_c)] of Y = u . T, with
+        # m = E[Y] = p . u: outcome a < k has Y - m = u_a - m = x_a, and the
+        # last outcome k has Y - m = -m
+        full = _softmax(theta)
+        p, p_last = full[..., :-1], full[..., -1:]
+        m = np.sum(p * u, axis=-1, keepdims=True)
+        x = u - m
+        return p * x**2 - p * (np.sum(p * x**2, axis=-1, keepdims=True) + p_last * m**2)
+
     def dual_potential(self, eta):
         full = _with_last(np.asarray(eta, dtype=float))
         return _scalar(np.sum(xlogy(full, full), axis=-1))
@@ -431,6 +459,12 @@ class Categorical(_DiscreteFamily):
         e = np.asarray(eta, dtype=float)
         last = 1.0 - e.sum(axis=-1)
         return (1.0 / e)[..., :, None] * np.eye(e.shape[-1]) + (1.0 / last)[..., None, None]
+
+    def hess_dual_potential_product(self, eta, v):
+        # diag(1 / eta) + 1 1^T / eta_k applied to v
+        e = np.asarray(eta, dtype=float)
+        last = 1.0 - e.sum(axis=-1, keepdims=True)
+        return v / e + np.sum(v, axis=-1, keepdims=True) / last
 
     def _score_natural(self, theta, x):
         t = np.zeros(self.dim)
@@ -456,10 +490,12 @@ def _softmax(theta):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# Smallest raw sigma whose inverse powers stay finite: the natural coordinates
-# of (mu, sigma), the chart derivatives and psi'', psi''' there carry powers of
-# 1 / sigma up to the eighth (the factor 2 is headroom for their rounding).
-_SIGMA_MIN = 2.0 * np.finfo(float).max ** -0.125
+# Largest sigma, 1 / sigma and |mu| / sigma of a valid point, in every chart:
+# the natural coordinates of (mu, sigma), the chart derivatives, psi'' and
+# psi''' there and their pullbacks carry powers of these up to the eighth (the
+# factor 2 is headroom for the constants and rounding of those terms).
+_SCALE_MAX = 0.5 * np.finfo(float).max ** 0.125
+_SIGMA_MIN = 1.0 / _SCALE_MAX
 
 
 class Gaussian1D(DistributionFamily):
@@ -468,6 +504,9 @@ class Gaussian1D(DistributionFamily):
     raw:     (mu, sigma), sigma > 0
     natural: (mu / sigma^2, -1 / (2 sigma^2))
     mean:    (E[x], E[x^2]) = (mu, mu^2 + sigma^2)
+
+    A valid point also has sigma, 1 / sigma and |mu| / sigma at most
+    _SCALE_MAX (about 1.7e38), where their eighth powers near overflow.
     """
 
     charts = (RAW, NATURAL, MEAN)
@@ -484,21 +523,41 @@ class Gaussian1D(DistributionFamily):
         if c.shape[-1] != 2:
             raise InvalidParameterError("Gaussian1D has two parameters")
         first, second = _components(c)
+        # sigma and |mu| / sigma of every point: a value that overflows to inf
+        # or is nan outside the chart's domain fails the test below
+        with np.errstate(all="ignore"):
+            if pt.chart == RAW:
+                sigma = second
+                z = np.abs(first) / sigma
+            elif pt.chart == NATURAL:
+                sigma = np.sqrt(-0.5 / second)
+                z = np.abs(first) * sigma
+            else:
+                sigma = np.sqrt(second - first**2)
+                z = np.abs(first) / sigma
+            if _all((sigma >= _SIGMA_MIN) & (sigma <= _SCALE_MAX) & (z <= _SCALE_MAX)):
+                return
         if pt.chart == RAW:
-            if not _all(second >= _SIGMA_MIN):
-                if not _all(second != 0.0):
-                    raise BoundaryParameterError("sigma = 0")
-                if not _all(second > 0.0):
-                    raise InvalidParameterError("sigma must be positive")
-                raise InvalidParameterError(
-                    f"sigma must be at least {_SIGMA_MIN:.3g}, where 1 / sigma^8 nears overflow"
-                )
+            if not _all(second != 0.0):
+                raise BoundaryParameterError("sigma = 0")
+            if not _all(second > 0.0):
+                raise InvalidParameterError("sigma must be positive")
         elif pt.chart == NATURAL:
             if not _all(second < 0.0):
                 raise InvalidParameterError("second natural parameter must be negative")
-        elif pt.chart == MEAN:
-            if not _all(second - first**2 > 0.0):
-                raise InvalidParameterError("variance eta2 - eta1^2 must be positive")
+        elif not _all(sigma > 0.0):
+            raise InvalidParameterError("variance eta2 - eta1^2 must be positive")
+        if not _all(sigma >= _SIGMA_MIN):
+            raise InvalidParameterError(
+                f"sigma must be at least {_SIGMA_MIN:.3g}, where 1 / sigma^8 nears overflow"
+            )
+        if not _all(sigma <= _SCALE_MAX):
+            raise InvalidParameterError(
+                f"sigma must be at most {_SCALE_MAX:.3g}, where sigma^8 nears overflow"
+            )
+        raise InvalidParameterError(
+            f"|mu| / sigma must be at most {_SCALE_MAX:.3g}, where its eighth power nears overflow"
+        )
 
     def _raw(self, pt: ParameterPoint):
         """(mu, sigma), each of the batch shape."""
@@ -570,6 +629,18 @@ class Gaussian1D(DistributionFamily):
         return _pack(
             [[[zero, p112], [p112, p122]], [[p112, p122], [p122, p222]]], t.shape[:-1]
         )
+
+    def cubic_form(self, theta, u):
+        # with r = 1 / theta_2 the entries are psi_112 = r^2 / 2, psi_122 =
+        # -theta_1 r^3 and psi_222 = 3/2 theta_1^2 r^4 - r^3; in w = theta_1 r u_2
+        # the two components factor
+        t = np.asarray(theta, dtype=float)
+        r = 1.0 / t[..., 1]
+        u1, u2 = u[..., 0], u[..., 1]
+        w = t[..., 0] * r * u2
+        r2 = r * r
+        r2a = r2 * (u1 - w)
+        return np.stack([r2a * u2, 0.5 * r2a * (u1 - 3.0 * w) - r2 * r * u2 * u2], axis=-1)
 
     def dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)

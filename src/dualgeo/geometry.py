@@ -22,6 +22,12 @@ ParameterPoint with coordinates (..., d) gives metrics (..., d, d) and
 connection coefficients (..., d, d, d), and a single point is the no-batch
 case of the same code.  The upper index of a batch of connections comes from
 one batched linear solve with the metrics.
+
+`geodesic_spray` gives what geodesic equations need of a connection, the
+d-vector Gamma^k_ij v^i v^j, from the third cumulant contracted with the
+velocity (`cubic_form`), without the d^3 tensor: no solve in the mean chart,
+one d x d solve in the natural chart.  `christoffel` stays the library's
+alpha-connection, and the tests check the spray against it.
 """
 from __future__ import annotations
 
@@ -268,6 +274,40 @@ def christoffel(
     rhs = lower.reshape(batch + (d * d, d)).swapaxes(-1, -2)
     comps = np.linalg.solve(_pullback(jac, psi2), rhs).reshape(batch + (d, d, d))
     return ChristoffelArray(pt.chart, pt, float(alpha), comps)
+
+
+def geodesic_spray(
+    family: DistributionFamily, pt: ParameterPoint, v: np.ndarray, alpha: float
+) -> np.ndarray:
+    """The alpha-connection contracted twice with a velocity,
+    Gamma^k_ij v^i v^j, at every point of pt: coordinates and velocities
+    (..., d) give (..., d), without the d^3 Christoffel tensor.
+
+    With u = J v the first-kind formula gives
+    Gamma(v, v) = J^-1 [(1 - alpha)/2 psi''^-1 psi'''(u, u, .) + H(v, v)]:
+    in the natural chart J = 1 and H = 0, and in the mean chart J = phi'' =
+    psi''^-1 and H(v, v) = -phi'' psi'''(u, u, .), so there
+    Gamma(v, v) = -(1 + alpha)/2 psi'''(u, u, .), which needs no solve.
+    """
+    family.validate(pt)
+    v = np.asarray(v, dtype=float)
+    w = 0.5 * (1.0 - alpha)
+    if pt.chart == MEAN:
+        u = family.hess_dual_potential_product(pt.coords, v)
+        return (w - 1.0) * family.cubic_form(family._coords_in(pt, NATURAL), u)
+    if pt.chart == NATURAL:
+        return w * _solve_vec(family.hess_potential(pt.coords), family.cubic_form(pt.coords, v))
+    # any other chart: the general form, with one solve by psi'' and one by J
+    theta = family._coords_in(pt, NATURAL)
+    jac = family._natural_jacobian(pt)
+    u = (jac @ v[..., None])[..., 0]
+    bend = np.einsum("...aij,...i,...j->...a", family._natural_jacobian_derivative(pt), v, v)
+    return _solve_vec(jac, w * _solve_vec(family.hess_potential(theta), family.cubic_form(theta, u)) + bend)
+
+
+def _solve_vec(a, b):
+    """a^-1 b for matrices (..., d, d) and vectors (..., d)."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def transform_metric(g: MetricTensor, rot: RotationMap) -> MetricTensor:

@@ -12,11 +12,13 @@ Levi-Civita geodesic (alpha = 0) is shot: a damped Newton iteration on the
 initial velocity drives the miss at t = 1 to zero.  Each iteration integrates
 the trial velocity and its d forward-difference perturbations together, as
 one (d + 1, 2d) RK4 state of positions and velocities, so every stage makes
-one batched closed-form `christoffel` call on d + 1 points, and the perturbed
-endpoints give the Jacobian of the miss.  A trial that leaves the chart's
-domain or meets a singular or overflowing metric halves the Newton step.  A
-step that still fails after _HALVINGS halvings, or a miss above `tol` after
-_NEWTON_ITERATIONS iterations, is a NonConvergenceError.
+one batched `geodesic_spray` call on d + 1 points: the Levi-Civita connection
+contracted with each velocity, Gamma(v, v), in closed form and without the d^3
+Christoffel tensor.  The perturbed endpoints give the Jacobian of the miss.
+A trial that leaves the chart's domain or meets a singular or overflowing
+metric halves the Newton step.  A step that still fails after _HALVINGS
+halvings, or a miss above `tol` after _NEWTON_ITERATIONS iterations, is a
+NonConvergenceError.
 """
 from __future__ import annotations
 
@@ -34,9 +36,9 @@ from .distributions import (
 from .errors import NonConvergenceError
 from .geometry import (
     PotentialPair,
-    christoffel,
     divergence_hessians,
     fisher_metric,
+    geodesic_spray,
 )
 
 
@@ -218,12 +220,10 @@ def geodesic(
     h = 1.0 / steps
 
     def rhs(state):
-        # rows (x, v) of each shot; one christoffel call validates and
-        # evaluates all d + 1 positions
+        # rows (x, v) of each shot; one spray call validates all d + 1
+        # positions and gives each its acceleration -Gamma(v, v)
         x, v = state[:, :d], state[:, d:]
-        gamma = christoffel(family, ParameterPoint(chart, x), 0.0).components
-        acc = (gamma @ v[:, None, :, None])[..., 0] @ v[:, :, None]
-        return np.concatenate([v, -acc[..., 0]], axis=1)
+        return np.concatenate([v, -geodesic_spray(family, ParameterPoint(chart, x), v, 0.0)], axis=1)
 
     def shoot(v0):
         """Trajectory (steps + 1, d) from x0 with velocity v0, and its

@@ -201,6 +201,17 @@ def test_wide_bernoulli_geodesic_runs_linearly_in_arcsin_sqrt_eta(tmp_path):
         (["fisher", "--family", "bernoulli", "--chart", "natural", "--point", "800"], "positive definite"),
         # 1 / sigma^2 and its higher powers overflow
         (["fisher", "--family", "gaussian", "--chart", "raw", "--point", "0,1e-200"], "sigma must be at least"),
+        # the same bound in the natural and mean charts: sigma = 7e-101 and 1e-150
+        (["fisher", "--family", "gaussian", "--chart", "natural", "--point", "0,-1e200"], "sigma must be at least"),
+        (["fisher", "--family", "gaussian", "--chart", "mean", "--point", "0,1e-300"], "sigma must be at least"),
+        # |mu| / sigma = 7e199 and 1e200, whose squares overflow
+        (["fisher", "--family", "gaussian", "--chart", "natural", "--point", "1e200,-1"], "|mu| / sigma must be at most"),
+        (["fisher", "--family", "gaussian", "--chart", "raw", "--point", "1e200,1"], "|mu| / sigma must be at most"),
+        # sigma = 1e60, whose sixth power in psi_222 overflows, and 7e76
+        (["fisher", "--family", "gaussian", "--chart", "raw", "--point", "0,1e60"], "sigma must be at most"),
+        (["fisher", "--family", "gaussian", "--chart", "natural", "--point", "0,-1e-154"], "sigma must be at most"),
+        # eta1^2 overflows: the variance is negative, not an overflow
+        (["fisher", "--family", "gaussian", "--chart", "mean", "--point", "1e200,1"], "variance"),
     ],
 )
 def test_unrepresentable_metric_exits_2(argv, reason, tmp_path, capsys):
@@ -208,6 +219,33 @@ def test_unrepresentable_metric_exits_2(argv, reason, tmp_path, capsys):
     assert code == 2 and data == b""
     err = capsys.readouterr().err
     assert err.startswith("error: parameters: ") and reason in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_negative_logit_divergence_is_clean(tmp_path):
+    # sigmoid(-800) underflows to 0 without an overflow in exp(800); the KL
+    # from certain tails to a fair coin is log 2
+    argv = ["divergence", "--family", "bernoulli", "--chart", "natural", "--p", "-800", "--q", "0"]
+    code, data = run(argv, tmp_path)
+    assert code == 0
+    row = dict(zip(tables.from_csv(data).columns, tables.from_csv(data).rows[0]))
+    assert abs(row["kl_pq"] - np.log(2.0)) < 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # p / T overflows in the load vector
+        ["membrane", "--T", "1e-320", "--p", "1", "--R", "1", "--nodes", "16"],
+        # the discrete deflections, about p R^2 / (4 T) = 2.5e327, overflow
+        ["membrane", "--T", "1", "--p", "1e308", "--R", "1e10"],
+    ],
+)
+def test_unrepresentable_membrane_exits_3(argv, tmp_path, capsys):
+    code, data = run(argv, tmp_path)
+    assert code == 3 and data == b""
+    assert capsys.readouterr().err.startswith("error: numerics: membrane solve overflowed")
 
 
 BERRY = ["berry", "--theta-c", "1.0"]

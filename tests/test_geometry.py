@@ -453,15 +453,15 @@ FAMILY_CHARTS = [(f, c) for f in (Bernoulli(), Categorical(3), Categorical(4), G
 FAMILY_CHART_IDS = [f"{type(f).__name__}{f.dim}-{c}" for f, c in FAMILY_CHARTS]
 
 
-def batch_in_chart(fam, chart, n):
+def batch_in_chart(fam, chart, n, rng=RNG):
     """n interior points in `chart`, drawn as in random_chart_points."""
     if isinstance(fam, Bernoulli):
-        base = ParameterPoint(MEAN, RNG.uniform(0.02, 0.98, (n, 1)))
+        base = ParameterPoint(MEAN, rng.uniform(0.02, 0.98, (n, 1)))
     elif isinstance(fam, Categorical):
-        w = RNG.uniform(0.05, 1.0, (n, fam.k))
+        w = rng.uniform(0.05, 1.0, (n, fam.k))
         base = ParameterPoint(MEAN, (w / w.sum(axis=1, keepdims=True))[:, :-1])
     else:
-        base = ParameterPoint(RAW, np.stack([RNG.uniform(-3.0, 3.0, n), RNG.uniform(0.2, 4.0, n)], axis=1))
+        base = ParameterPoint(RAW, np.stack([rng.uniform(-3.0, 3.0, n), rng.uniform(0.2, 4.0, n)], axis=1))
     return np.stack([fam.convert(ParameterPoint(base.chart, c), chart).coords for c in base.coords])
 
 
@@ -715,3 +715,108 @@ def test_batched_christoffel_matches_per_point_loop(fam, chart, alpha):
         G.christoffel_first_kind(fam, ParameterPoint(chart, xs), alpha),
         np.stack([G.christoffel_first_kind(fam, ParameterPoint(chart, x), alpha) for x in xs]),
     )
+
+
+# -- geodesic spray -------------------------------------------------------
+
+SPRAY_CHARTS = [
+    (Bernoulli(), NATURAL),
+    (Bernoulli(), MEAN),
+    (Categorical(4), NATURAL),
+    (Categorical(4), MEAN),
+    (Gaussian1D(), RAW),
+    (Gaussian1D(), NATURAL),
+    (Gaussian1D(), MEAN),
+]
+SPRAY_IDS = [f"{type(f).__name__}{f.dim}-{c}" for f, c in SPRAY_CHARTS]
+
+
+def contracted_christoffel(fam, pt, v, alpha):
+    """Gamma^k_ij v^i v^j from the full Christoffel tensor: the oracle."""
+    return np.einsum("...kij,...i,...j->...k", G.christoffel(fam, pt, alpha).components, v, v)
+
+
+def spray_points(fam, chart, rng):
+    """A (3, 4) batch of points in `chart`.  Gaussian points keep |mu| / sigma
+    <= 2: the oracle's mean-chart route cancels terms that grow with powers of
+    |mu| / sigma, and at |mu| / sigma = 4.3 it leaves 2e-11 where the exact
+    alpha = -1 value is 0."""
+    if isinstance(fam, Gaussian1D):
+        raw = np.stack([rng.uniform(-1.0, 1.0, 12), rng.uniform(0.5, 2.0, 12)], axis=1)
+        xs = fam.convert(ParameterPoint(RAW, raw), chart).coords
+    else:
+        xs = batch_in_chart(fam, chart, 12, rng)
+    return xs.reshape(3, 4, -1)
+
+
+# Error relative to the largest component of the alpha = 0 spray at the same
+# points.  Measured worst case: 1.5e-14, on Gaussian mean at alpha = -1, where
+# the spray is exactly 0 and the whole difference is the oracle's rounding;
+# 8.1e-15 elsewhere.  The bound is 4 times the worst case.
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.4, 1.0])
+@pytest.mark.parametrize("fam, chart", SPRAY_CHARTS, ids=SPRAY_IDS)
+def test_geodesic_spray_matches_contracted_christoffel(fam, chart, alpha):
+    rng = np.random.default_rng(20261018)
+    xs = spray_points(fam, chart, rng)
+    vs = rng.normal(0.0, 0.5, xs.shape)
+    for x, v in ((xs[0, 0], vs[0, 0]), (xs, vs)):
+        pt = ParameterPoint(chart, x)
+        spray = G.geodesic_spray(fam, pt, v, alpha)
+        assert spray.shape == x.shape
+        scale = np.max(np.abs(contracted_christoffel(fam, pt, v, 0.0)))
+        assert np.max(np.abs(spray - contracted_christoffel(fam, pt, v, alpha))) <= 6e-14 * scale
+
+
+@pytest.mark.parametrize("fam", [Bernoulli(), Categorical(4), Gaussian1D()], ids=lambda f: type(f).__name__)
+def test_mean_chart_spray_is_exactly_zero_for_the_mixture_connection(fam):
+    # -(1 + alpha)/2 psi_abc u^a u^b at alpha = -1: m-flatness without rounding
+    xs = batch_in_chart(fam, MEAN, 6, np.random.default_rng(5))
+    spray = G.geodesic_spray(fam, ParameterPoint(MEAN, xs), np.ones_like(xs), -1.0)
+    assert not np.any(spray)
+
+
+# Measured: at most 2.5e-16 relative to the largest component.
+@pytest.mark.parametrize("fam", [Bernoulli(), Categorical(5), Gaussian1D()], ids=lambda f: type(f).__name__)
+def test_cubic_form_matches_third_potential(fam):
+    rng = np.random.default_rng(11)
+    theta = fam.convert(ParameterPoint(MEAN, batch_in_chart(fam, MEAN, 8, rng)), NATURAL).coords
+    u = rng.normal(0.0, 1.0, theta.shape)
+    ref = np.einsum("...abc,...a,...b->...c", fam.third_potential(theta), u, u)
+    got = fam.cubic_form(theta, u)
+    assert got.shape == theta.shape
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_spray_rejects_points_outside_the_chart():
+    with pytest.raises(InvalidParameterError):
+        G.geodesic_spray(Bernoulli(), ParameterPoint(MEAN, np.array([[0.5], [1.2]])), np.ones((2, 1)), 0.0)
+
+
+# -- the Gaussian's representable region ------------------------------------
+
+SCALE_MAX = 1.7e38  # sigma, 1 / sigma and |mu| / sigma of a valid point, at most
+
+
+@pytest.mark.parametrize("chart", [RAW, NATURAL, MEAN])
+def test_gaussian_region_corners_compute_without_floating_point_errors(chart):
+    # at and near the corners of the region every closed form is finite or
+    # reports a metric that is not positive definite, never an overflow
+    fam = Gaussian1D()
+    pot = G.PotentialPair.from_family(fam)
+    unit = fam.convert(point(RAW, 0.0, 1.0), chart)
+    for sigma in (1.0 / SCALE_MAX, 1e-10, 1.0, 1e10, SCALE_MAX):
+        for z in (0.0, 1.0, -1e10, SCALE_MAX, -SCALE_MAX):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                pt = fam.convert(point(RAW, z * sigma, sigma), chart)
+                try:
+                    fam.validate(pt)
+                except InvalidParameterError:
+                    continue  # mu^2 + sigma^2 rounds sigma^2 away in the mean chart
+                fam.kl(pt, unit), fam.kl(unit, pt)
+                for fn in (lambda: G.fisher_metric(fam, pt),
+                           lambda: G.legendre_dual(pot, fam.convert(pt, NATURAL))):
+                    try:
+                        fn()
+                    except G.DegenerateMetricError:
+                        pass
+

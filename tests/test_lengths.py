@@ -222,7 +222,8 @@ def test_geodesic_endpoints():
 
 # The length error is the O(h^2) of the trapezoid-and-gradient length
 # quadrature.  Measured errors: Bernoulli 8.4e-7 at 256 steps, Gaussian
-# 1.82e-5 and Categorical 8.2e-6 at 64 steps; the new bounds are twice these.
+# 1.82e-5, Categorical(3) 8.2e-6 and Categorical(16) 1.07e-6 at 64 steps; the
+# bounds are about twice these.
 @pytest.mark.parametrize(
     "fam, chart, a, b, steps, oracle, tol",
     [
@@ -232,6 +233,9 @@ def test_geodesic_endpoints():
                      gaussian_fisher_distance, 4e-5, id="gaussian-raw"),
         pytest.param(Categorical(3), MEAN, [0.2, 0.5], [0.5, 0.3], 64,
                      categorical_fisher_distance, 2e-5, id="categorical3-mean"),
+        # from the uniform point, two weights moved by +-0.5 / 16
+        pytest.param(Categorical(16), MEAN, [1 / 16] * 15, [1.5 / 16, 0.5 / 16] + [1 / 16] * 13, 64,
+                     categorical_fisher_distance, 2e-6, id="categorical16-mean"),
     ],
 )
 def test_fisher_geodesic_closed_form_distance(fam, chart, a, b, steps, oracle, tol):
@@ -249,14 +253,14 @@ def test_geodesic_shooting_failure_reports_miss_and_integrations():
 
 
 def test_geodesic_shooting_integrates_each_trial_with_its_perturbations(monkeypatch):
-    # one christoffel call per RK4 stage, on the trial and its d perturbations
+    # one spray call per RK4 stage, on the trial and its d perturbations
     calls = []
 
-    def counted(family, pt, alpha):
+    def counted(family, pt, v, alpha):
         calls.append(pt.coords.shape)
-        return G.christoffel(family, pt, alpha)
+        return G.geodesic_spray(family, pt, v, alpha)
 
-    monkeypatch.setattr(L, "christoffel", counted)
+    monkeypatch.setattr(L, "geodesic_spray", counted)
     steps = 16
     for fam, chart, a, b in [
         (Bernoulli(), MEAN, [0.2], [0.8]),
