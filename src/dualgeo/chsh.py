@@ -2,7 +2,11 @@
 the classical polytope, Tsirelson-point scans, and the geometric correlator.
 
 Analyzer directions live in the z-x great circle: the +/-1 observable for an
-angle a is cos(a) sigma_z + sin(a) sigma_x.
+angle a is cos(a) sigma_z + sin(a) sigma_x.  Every quantity is a formula in
+the Pauli moments of the state: joint distributions and correlators in the
+local Bloch vectors and the 2x2 z-x correlation block T, and the largest
+|S| over all settings is 2 ||T||_F (Horodecki et al., Phys. Lett. A 200, 340
+(1995), restricted to the z-x plane).  No optimizer runs.
 """
 from __future__ import annotations
 
@@ -11,7 +15,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
+
+# Unused: bench/tracing.py wraps this name and reports its metrics until the
+# benchmark drops that target (ROADMAP item 6).
+from scipy.optimize import minimize  # noqa: F401
 
 from .quantum import PAULI_X, PAULI_Z, BipartiteState, DimensionMismatchError
 from .tables import ScanTable
@@ -86,19 +93,13 @@ def schmidt_pair(p: float) -> BipartiteState:
 def joint_distribution(
     state: BipartiteState, a: MeasurementSetting, b: MeasurementSetting
 ) -> JointDistribution:
-    """Outcome probabilities from the +/-1 projectors of the two analyzers."""
-    if state.dims != (2, 2):
-        raise DimensionMismatchError("CHSH engine needs a two-qubit state")
-    eye = np.eye(2, dtype=complex)
-    proj_a = [(eye + s * observable(a.angle)) / 2.0 for s in (+1.0, -1.0)]
-    proj_b = [(eye + s * observable(b.angle)) / 2.0 for s in (+1.0, -1.0)]
-    c = state.amplitudes
-    probs = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            # <psi| P_a (x) P_b |psi> = tr(C^dag P_a C P_b^T)
-            probs[i, j] = np.trace(c.conj().T @ proj_a[i] @ c @ proj_b[j].T).real
-    probs = np.clip(probs, 0.0, None)
+    """Outcome probabilities p(s, t) = (1 + s r_A.u(a) + t r_B.u(b) +
+    s t u(a) T u(b)) / 4, with r_A, r_B the z-x Bloch vectors of the two
+    parties, T the correlation block and u(a) = (cos a, sin a)."""
+    m = _pauli_moments(state)
+    va = [[1.0, s * math.cos(a.angle), s * math.sin(a.angle)] for s in (+1.0, -1.0)]
+    vb = [[1.0, t * math.cos(b.angle), t * math.sin(b.angle)] for t in (+1.0, -1.0)]
+    probs = np.clip(np.array(va) @ m @ np.array(vb).T / 4.0, 0.0, None)
     probs /= probs.sum()
     return JointDistribution(probs, (a, b))
 
@@ -118,19 +119,26 @@ def geometric_correlator(d: JointDistribution) -> float:
     return 1.0 - 2.0 * omega
 
 
+_PAULIS = np.stack([np.eye(2, dtype=complex), PAULI_Z, PAULI_X])
+
+
+def _pauli_moments(state: BipartiteState) -> np.ndarray:
+    """M[k, l] = <psi| s_k (x) s_l |psi> for s = (1, sigma_z, sigma_x): M[0, 0]
+    is 1, M[1:, 0] and M[0, 1:] are the z-x Bloch vectors of the two parties
+    and M[1:, 1:] is the correlation block."""
+    if state.dims != (2, 2):
+        raise DimensionMismatchError("CHSH engine needs a two-qubit state")
+    c = state.amplitudes
+    # <psi| A (x) B |psi> = sum_ib (A C)_ib (conj(C) B)_ib
+    return ((_PAULIS @ c).reshape(3, 4) @ (c.conj() @ _PAULIS).reshape(3, 4).T).real
+
+
 def correlation_block(state: BipartiteState) -> np.ndarray:
     """T[k, l] = <psi| sigma_k (x) sigma_l |psi> for k, l in (z, x).
 
     Every z-x analyzer correlator is E(a, b) = u(a) T u(b), u(a) = (cos a, sin a).
     """
-    if state.dims != (2, 2):
-        raise DimensionMismatchError("CHSH engine needs a two-qubit state")
-    c = state.amplitudes
-    paulis = (PAULI_Z, PAULI_X)
-    # <psi| A (x) B |psi> = sum conj(C) * (A C B^T)
-    return np.array(
-        [[float(np.sum(c.conj() * (sk @ c @ sl.T)).real) for sl in paulis] for sk in paulis]
-    )
+    return _pauli_moments(state)[1:, 1:]
 
 
 def _correlator(t, a, b) -> float:
@@ -224,14 +232,24 @@ def _scan_grid(e: np.ndarray):
 
 
 def tsirelson_scan(state: BipartiteState, grid_size: int) -> ScanTable:
-    """Grid scan of |S| over the four settings followed by local refinement.
+    """Grid scan of |S| over the four settings, followed by the closed-form
+    optimum.
 
     The grid holds grid_size equally spaced angles in [0, 2 pi) for each
     setting. Its optimum is the lexicographically smallest index quadruple
     (a, a', b, b') whose |S| lies within 1e-12 of the grid maximum, so the
-    choice does not depend on the rounding of near-equal maxima. Nelder-Mead
-    refines it from there. Returns a table with the grid optimum and the
-    refined optimum; the refined row carries the reported maximum.
+    choice does not depend on the rounding of near-equal maxima.
+
+    The refined row is an exact maximizer. With b, b' = phi +/- delta,
+    S = 2 sin(delta) u(a) T u(phi + pi/2) + 2 cos(delta) u(a') T u(phi), so
+    a = arg T u(phi + pi/2), a' = arg T u(phi) and tan(delta) =
+    |T u(phi + pi/2)| / |T u(phi)| give S = 2 ||T||_F, the largest |S|, for
+    every phi. phi is the midpoint (b + b') / 2 of the grid optimum's b and
+    b'. Each refined angle is wrapped into [0, 2 pi); the refined S is
+    2 ||T||_F >= 0 up to rounding.
+
+    Returns a table with the grid row and the refined row; the refined row
+    carries the reported maximum.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
@@ -242,37 +260,31 @@ def tsirelson_scan(state: BipartiteState, grid_size: int) -> ScanTable:
     ia, iap, ib, ibp = _scan_grid(e)
     grid_settings = np.array([angles[ia], angles[iap], angles[ib], angles[ibp]])
     grid_s = float(e[ia, ib] - e[ia, ibp] + e[iap, ib] + e[iap, ibp])
-    tl = t.tolist()
-
-    def neg_abs(x):
-        a, a_prime, b, b_prime = x.tolist()
-        return -abs(
-            _correlator(tl, a, b)
-            - _correlator(tl, a, b_prime)
-            + _correlator(tl, a_prime, b)
-            + _correlator(tl, a_prime, b_prime)
-        )
-
-    opt = minimize(
-        neg_abs,
-        grid_settings,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 20000, "maxfev": 20000},
-    )
-    refined = opt.x
+    refined = _closed_form_settings(t, 0.5 * (grid_settings[2] + grid_settings[3]))
     refined_res = chsh_S(state, *refined)
     rows = [
         list(grid_settings) + [grid_s, abs(grid_s), 0.0],
-        list(refined) + [refined_res.s_value, abs(refined_res.s_value), 1.0],
+        refined + [refined_res.s_value, abs(refined_res.s_value), 1.0],
     ]
     meta = {
         "operation": "tsirelson_scan",
         "grid_size": int(grid_size),
         "max_abs_S": abs(refined_res.s_value),
-        "argmax_settings": [float(v) for v in refined],
+        "argmax_settings": refined,
         "regime": refined_res.regime,
-        "tolerances": {"refinement_xatol": 1e-10, "refinement_fatol": 1e-13},
     }
     return ScanTable(
         ("a", "a_prime", "b", "b_prime", "S", "abs_S", "refined"), rows, meta
     )
+
+
+def _closed_form_settings(t: np.ndarray, phi: float) -> list:
+    """(a, a', b, b') reaching S = 2 ||T||_F with b, b' = phi +/- delta,
+    each angle wrapped into [0, 2 pi)."""
+    tq = t @ np.array([math.cos(phi), math.sin(phi)])  # T u(phi)
+    tp = t @ np.array([-math.sin(phi), math.cos(phi)])  # T u(phi + pi/2)
+    delta = math.atan2(math.hypot(*tp), math.hypot(*tq))
+    raw = (math.atan2(tp[1], tp[0]), math.atan2(tq[1], tq[0]), phi + delta, phi - delta)
+    tau = 2.0 * math.pi
+    # x % tau rounds up to tau itself for x just below 0
+    return [w if w < tau else 0.0 for w in (x % tau for x in raw)]

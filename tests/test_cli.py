@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ellipeinc
 
 from dualgeo import cli, continuum, tables
 from dualgeo.errors import NonConvergenceError
@@ -67,7 +68,8 @@ def test_json_output_carries_provenance(tmp_path):
     payload = json.loads(data)
     meta = payload["meta"]
     assert meta["operation"] == "fisher"
-    assert meta["seed"] == 0
+    # nothing in the library is random: no seed in the provenance
+    assert "seed" not in meta and "seed" not in meta["parameters"]
     assert meta["parameters"]["point"] == "0.3"
     assert meta["parameters"]["family"] == "bernoulli"
 
@@ -246,6 +248,45 @@ def test_unrepresentable_membrane_exits_3(argv, tmp_path, capsys):
     code, data = run(argv, tmp_path)
     assert code == 3 and data == b""
     assert capsys.readouterr().err.startswith("error: numerics: membrane solve overflowed")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_membrane_closed_form_is_finite(tmp_path):
+    # p (r^2 - R^2) = 1e320 overflows, but the deflections are about -2.5e19
+    code, data = run(["membrane", "--T", "1e300", "--p", "1e200", "--R", "1e60"], tmp_path)
+    assert code == 0
+    r, w, exact, _ = np.array(tables.from_csv(data).rows).T
+    assert abs(exact[0] + 2.5e19) <= 1e-15 * 2.5e19
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(exact))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fs, x", [("1", "1000"), ("100", "100")])
+def test_long_string_is_elliptic_arc_length(fs, x, tmp_path):
+    # both once exited 3: the adaptive quadratures gave up on many periods
+    code, data = run(["string", "--A", "1", "--fs", fs, "--x", x], tmp_path)
+    assert code == 0
+    row = dict(zip(tables.from_csv(data).columns, tables.from_csv(data).rows[0]))
+    # A = 1: sqrt(1 + fs^2) / fs * E(fs x | fs^2 / (1 + fs^2))
+    fs, x = float(fs), float(x)
+    oracle = np.sqrt(1.0 + fs**2) / fs * ellipeinc(fs * x, fs**2 / (1.0 + fs**2))
+    assert abs(row["exact_length"] - oracle) <= 1e-14 * oracle
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # c = A f_s = 1e400 overflows
+        ["string", "--A", "1e200", "--fs", "1e200", "--x", "1"],
+        # the phase f_s x = 1e400 overflows
+        ["string", "--A", "1", "--fs", "1e200", "--x", "1e200"],
+    ],
+)
+def test_unrepresentable_string_exits_3(argv, tmp_path, capsys):
+    code, data = run(argv, tmp_path)
+    assert code == 3 and data == b""
+    assert capsys.readouterr().err.startswith("error: numerics: arc length overflows")
 
 
 BERRY = ["berry", "--theta-c", "1.0"]

@@ -1,6 +1,7 @@
 """Membrane finite-difference solver and the string-length model."""
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ellipe
 
 from dualgeo import continuum as K
@@ -82,6 +83,29 @@ def test_string_arc_length_elliptic_oracle():
     assert abs(K.string_arc_length_exact(m, np.pi / 2.0) - oracle) < 1e-10
 
 
+def quad_arc_length(amplitude, fs, x):
+    """Oracle: adaptive quadrature of the speed sqrt(1 + (A f_s cos(f_s u))^2)
+    over one quarter period, times the whole quarters in [0, x], plus the rest."""
+    def speed(u):
+        return np.sqrt(1.0 + (amplitude * fs * np.cos(fs * u)) ** 2)
+
+    quarter = np.pi / (2.0 * fs)
+    n = np.floor(x / quarter)
+    whole = quad(speed, 0.0, quarter, epsabs=0.0, epsrel=1e-13)[0]
+    return n * whole + quad(speed, n * quarter, x, epsabs=0.0, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize(
+    "amplitude, levels, x",
+    [(1.0, (1.0,), 1000.0), (1.0, (100.0,), 100.0), (0.7, (2.0,), 1.3), (2.0, (1.5, 2.0), 7.7), (1e-3, (1.0,), 5.0)],
+)
+def test_string_arc_length_matches_quadrature(amplitude, levels, x):
+    # the first two exited 3 while the length was itself a quadrature; the
+    # bound is the oracle's requested tolerance (measured error <= 4e-16)
+    exact = K.string_arc_length_exact(K.StringModel(amplitude, levels), x)
+    assert abs(exact - quad_arc_length(amplitude, sum(levels), x)) <= 1e-13 * exact
+
+
 def test_string_arc_length_exceeds_chord():
     m = K.StringModel(0.7, (2.0,))
     x = 1.3
@@ -93,11 +117,18 @@ def test_string_zero_amplitude_arc_is_chord():
     assert abs(K.string_arc_length_exact(m, 2.0) - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("fs, x", [(1e-300, 1.0), (1e-310, 1.0), (1e-200, 1e-200)])
+def test_string_arc_length_tiny_phase_is_chord(fs, x):
+    # f_s x is tiny or underflows to 0: the arc length is the chord x
+    assert K.string_arc_length_exact(K.StringModel(1.0, (fs,)), x) == x
+
+
 def test_string_length_report_fields():
     m = K.StringModel(1.0, (1.0,))
     rep = K.string_length_report(m, np.pi / 2.0)
     assert abs(rep.approximate - 1.0) < 1e-12
-    assert abs(rep.antiderivative - rep.approximate) < 1e-10
+    # the approximation is the integral of f_s cos(f_s u) over [0, x]
+    assert abs(quad(lambda u: np.cos(u), 0.0, np.pi / 2.0)[0] - rep.approximate) < 1e-10
     assert rep.discrepancy == abs(rep.approximate - rep.exact)
     assert rep.relative_discrepancy > 0.3  # the approximation error is large, and reported
 
