@@ -227,10 +227,14 @@ class QuantizationCheck:
 
 
 def wavelength_quantization_check(model: StringModel, x: float, tol: float = 1e-9) -> QuantizationCheck:
-    """Test whether the domain holds an integer number of wavelengths."""
+    """Test whether the domain holds an integer number of wavelengths.  A
+    wavelength, or its ratio to the domain, that is not representable in
+    double precision is a NonConvergenceError."""
     if x <= 0.0:
         raise ValueError("endpoint must be positive")
-    lam = 2.0 * np.pi / model.total_frequency
+    lam = 2.0 * math.pi / model.total_frequency
+    if not (math.isfinite(lam) and math.isfinite(lam / x)):
+        raise NonConvergenceError("wavelength overflows double precision")
     ratio = x / lam
     return QuantizationCheck(
         wavelength=float(lam),

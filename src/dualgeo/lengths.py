@@ -15,9 +15,20 @@ one (d + 1, 2d) RK4 state of positions and velocities, so every stage makes
 one batched `geodesic_spray` call on d + 1 points: the Levi-Civita connection
 contracted with each velocity, Gamma(v, v), in closed form and without the d^3
 Christoffel tensor.  The perturbed endpoints give the Jacobian of the miss.
-A trial that leaves the chart's domain or meets a singular or overflowing
-metric halves the Newton step.  A step that still fails after _HALVINGS
-halvings, or a miss above `tol` after _NEWTON_ITERATIONS iterations, is a
+
+The first trial is the mean of the e- and m-geodesic initial velocities
+(`_first_trial`), right to third order in the chord x1 - x0 because the
+Levi-Civita connection is the mean of the two; where it is not finite or
+strays more than half the chord from the chord, the chord is the first trial.
+Newton stops when the miss is below tol / 100, or, after a full Newton step,
+when the miss it predicts for the pending step, miss * Theta^2 with the
+contraction Theta = |step| / |previous step| (Deuflhard 2004, section 3.2),
+is.  The pending step is then applied along the whole path by the
+sensitivity, without another integration.  A trial that leaves the chart's
+domain or meets a singular or overflowing metric halves the Newton step.  A
+step that still fails after _HALVINGS halvings, or a miss above `tol` after
+_NEWTON_ITERATIONS iterations, ends the iteration; from the dual-connection
+trial Newton then starts again from the chord, and from the chord it is a
 NonConvergenceError.
 """
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .geometry import (
 )
 
 
-# Shooting limits: Newton iterations (three to six converge on the geodesics
+# Shooting limits: Newton iterations (two to four converge on the geodesics
 # the tests and the benchmark shoot), and halvings of one Newton step, which
 # may shrink it to 1/64 before the shot fails.
 _NEWTON_ITERATIONS = 20
@@ -184,6 +195,37 @@ def length_report(path: ParamPath, family: DistributionFamily) -> LengthReport:
     )
 
 
+def _first_trial(family: DistributionFamily, chart: str, x0, x1) -> np.ndarray:
+    """First trial initial velocity of the Levi-Civita geodesic from x0 to x1
+    in `chart`.
+
+    The Levi-Civita connection is the mean of the e- and m-connections, so
+    the mean of the e- and m-geodesic initial velocities,
+
+        v0 = 1/2 J^-1 [(theta1 - theta0) + phi''(eta0) (eta1 - eta0)],
+
+    with J = d theta / dx at x0 (the identity in the natural chart), matches
+    the Levi-Civita initial velocity up to third order in the chord
+    x1 - x0, where the chord itself is off at second order.  v0 is taken
+    where it is finite and within half the chord of the chord (max norm);
+    otherwise the chord is.
+    """
+    chord = x1 - x0
+    ends = ParameterPoint(chart, np.stack([x0, x1]))
+    theta = family.convert(ends, NATURAL).coords
+    eta = family.convert(ends, MEAN).coords
+    # a saturated point (eta on the boundary in double precision) gives an
+    # infinite phi'' and so a v0 that is not finite
+    with np.errstate(all="ignore"):
+        u = theta[1] - theta[0] + family.hess_dual_potential_product(eta[0], eta[1] - eta[0])
+        try:
+            v0 = 0.5 * np.linalg.solve(family._natural_jacobian(ParameterPoint(chart, x0)), u)
+        except np.linalg.LinAlgError:
+            return chord
+        trusted = np.all(np.isfinite(v0)) and np.max(np.abs(v0 - chord)) <= 0.5 * np.max(np.abs(chord))
+    return v0 if trusted else chord
+
+
 def geodesic(
     family: DistributionFamily,
     chart: str,
@@ -243,39 +285,64 @@ def geodesic(
             paths[n + 1] = state[:, :d]
         return paths[:, 0], (paths[:, 1:] - paths[:, :1]) / eps[:, None]
 
-    # Newton from v = 0, whose path stays at x0: its step x1 - x0 is the first
-    # trial, halved like any other step that fails
-    v, step = np.zeros(d), x1 - x0
-    miss = float(np.max(np.abs(step)))
+    chord = x1 - x0
     integrations = 0
+
+    def newton(step):
+        """Damped Newton from v = 0, whose path stays at x0, with `step` as
+        the first trial (halved like any other step that fails): the last
+        shot, its sensitivity and the pending Newton step."""
+        nonlocal integrations
+        v, miss = np.zeros(d), float(np.max(np.abs(chord)))
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                for iteration in range(_NEWTON_ITERATIONS):
+                    for halvings_left in range(_HALVINGS, -1, -1):
+                        integrations += 1
+                        try:
+                            traj, sens = shoot(v + step)
+                            break
+                        except (InvalidParameterError, np.linalg.LinAlgError, FloatingPointError):
+                            if not halvings_left:
+                                raise
+                            step = 0.5 * step
+                    # whether the step just taken was a full Newton step
+                    newton_step = iteration > 0 and halvings_left == _HALVINGS
+                    v = v + step
+                    residual = traj[-1] - x1
+                    miss = float(np.max(np.abs(residual)))
+                    taken = float(np.max(np.abs(step)))
+                    step = -np.linalg.solve(sens[-1].T, residual)
+                    # Newton's contraction Theta = |step| / |taken| predicts
+                    # the miss after the pending step, miss * Theta^2
+                    # (Deuflhard 2004, section 3.2); multiplied out, so that
+                    # no step of size 0 divides
+                    pending = float(np.max(np.abs(step)))
+                    if miss <= tol * 1e-2 or (
+                        newton_step and miss * pending * pending <= tol * 1e-2 * taken * taken
+                    ):
+                        return traj, sens, step
+        except (InvalidParameterError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            raise NonConvergenceError(
+                f"geodesic shooting failed in integration {integrations}, "
+                f"last miss {miss:.3g}: {exc}"
+            ) from exc
+        if miss > tol:
+            raise NonConvergenceError(
+                f"geodesic shooting did not converge: miss {miss:.3g} "
+                f"after {integrations} integrations"
+            )
+        return traj, sens, step
+
+    trial = _first_trial(family, chart, x0, x1)
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for _ in range(_NEWTON_ITERATIONS):
-                for halvings_left in range(_HALVINGS, -1, -1):
-                    integrations += 1
-                    try:
-                        traj, sens = shoot(v + step)
-                        break
-                    except (InvalidParameterError, np.linalg.LinAlgError, FloatingPointError):
-                        if not halvings_left:
-                            raise
-                        step = 0.5 * step
-                v = v + step
-                residual = traj[-1] - x1
-                miss = float(np.max(np.abs(residual)))
-                step = -np.linalg.solve(sens[-1].T, residual)
-                if miss <= tol * 1e-2:
-                    break
-    except (InvalidParameterError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        raise NonConvergenceError(
-            f"geodesic shooting failed in integration {integrations}, "
-            f"last miss {miss:.3g}: {exc}"
-        ) from exc
-    if miss > tol:
-        raise NonConvergenceError(
-            f"geodesic shooting did not converge: miss {miss:.3g} "
-            f"after {integrations} integrations"
-        )
+        traj, sens, step = newton(trial)
+    except NonConvergenceError:
+        # a dual-connection trial outside Newton's region of convergence:
+        # Newton again from the chord
+        if np.array_equal(trial, chord):
+            raise
+        traj, sens, step = newton(chord)
     # The pending Newton step, carried along the whole path by its
     # sensitivity: the endpoint lands on x1 to rounding, and the path matches
     # the shot at v + step to O(step^2), without another integration.

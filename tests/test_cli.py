@@ -289,6 +289,23 @@ def test_unrepresentable_string_exits_3(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerics: arc length overflows")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the wavelength 2 pi / f_s = 6.3e310 overflows; the arc length is the chord 1
+        ["string", "--A", "1", "--fs", "1e-310", "--x", "1"],
+        # the wavelength is 2 pi, its ratio to the domain 6.3e310 overflows
+        ["string", "--A", "1", "--fs", "1", "--x", "1e-310"],
+    ],
+)
+def test_unrepresentable_wavelength_exits_3(argv, tmp_path, capsys):
+    # both once exited 0 with inf in the table
+    code, data = run(argv, tmp_path)
+    assert code == 3 and data == b""
+    assert capsys.readouterr().err.startswith("error: numerics: wavelength overflows")
+
+
 BERRY = ["berry", "--theta-c", "1.0"]
 
 
