@@ -53,11 +53,14 @@ def _check_range(field, value, lo, hi):
         raise _CliError(field, f"must lie in [{lo}, {hi}], got {value}")
 
 
-def _floats(text):
+def _floats(text, field):
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        values = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise _CliError("value", f"cannot parse {text!r} as comma-separated floats") from exc
+    if not np.isfinite(values).all():
+        raise _CliError(field, "must be finite")
+    return values
 
 
 def _family(args):
@@ -105,7 +108,7 @@ def _emit(args, table):
 
 def _cmd_fisher(args):
     fam = _family(args)
-    pt = ParameterPoint(args.chart, _floats(args.point))
+    pt = ParameterPoint(args.chart, _floats(args.point, "point"))
     g = geometry.fisher_metric(fam, pt)
     d = g.components.shape[0]
     rows = [[float(i), float(j), g.components[i, j]] for i in range(d) for j in range(d)]
@@ -113,13 +116,15 @@ def _cmd_fisher(args):
 
 
 def _cmd_legendre(args):
+    values = _floats(args.theta, "theta")
     if args.family == "quadratic":
-        pot = geometry.PotentialPair.quadratic(dim=len(_floats(args.theta)))
-        theta = ParameterPoint(pot.primal_chart, _floats(args.theta))
+        pot = geometry.PotentialPair.quadratic(dim=len(values))
+        theta = ParameterPoint(pot.primal_chart, values)
     else:
         fam = _family(args)
         pot = geometry.PotentialPair.from_family(fam)
-        theta = ParameterPoint(NATURAL, _floats(args.theta))
+        theta = ParameterPoint(NATURAL, values)
+        fam.validate(theta)
     eta, phi_value = geometry.legendre_dual(pot, theta)
     cols = tuple(f"eta_{i}" for i in range(eta.coords.size)) + ("phi",)
     rows = [list(eta.coords) + [phi_value]]
@@ -128,18 +133,16 @@ def _cmd_legendre(args):
 
 def _cmd_divergence(args):
     fam = _family(args)
-    p = ParameterPoint(args.chart, _floats(args.p))
-    q = ParameterPoint(args.chart, _floats(args.q))
+    p = ParameterPoint(args.chart, _floats(args.p, "p"))
+    q = ParameterPoint(args.chart, _floats(args.q, "q"))
     pot = geometry.PotentialPair.from_family(fam)
     kl_pq = geometry.kl_divergence(fam, p, q)
     kl_qp = geometry.kl_divergence(fam, q, p)
-    breg = geometry.bregman_divergence(
-        pot, fam.convert(q, NATURAL), ParameterPoint(MEAN, fam.sufficient_stat_mean(fam.convert(p, NATURAL)))
-    )
+    breg = geometry.bregman_divergence(pot, fam.convert(q, NATURAL), fam.convert(p, MEAN))
     cols = ["kl_pq", "kl_qp", "bregman"]
     row = [kl_pq, kl_qp, breg]
     if args.r is not None:
-        r = ParameterPoint(args.chart, _floats(args.r))
+        r = ParameterPoint(args.chart, _floats(args.r, "r"))
         cols.append("triangle_gap")
         row.append(geometry.pythagorean_gap(fam, p, r, q))
     return _emit(args, tables.ScanTable(tuple(cols), [row], _meta(args, "divergence")))
@@ -151,7 +154,7 @@ def _cmd_lengths(args):
     grid = args.count * fam.dim**2
     if grid > MAX_LENGTH_GRID:
         raise _CliError("count", f"count * dim^2 = {grid} exceeds {MAX_LENGTH_GRID}")
-    path = lengths.ParamPath.straight(args.chart, _floats(args.start), _floats(args.end), args.count)
+    path = lengths.ParamPath.straight(args.chart, _floats(args.start, "start"), _floats(args.end, "end"), args.count)
     rep = lengths.length_report(path, fam)
     cols = ("primal", "dual", "harmonic", "divergence_based", "grid_size")
     rows = [[rep.primal, rep.dual, rep.harmonic, rep.divergence_based, float(rep.grid_size)]]
@@ -161,8 +164,8 @@ def _cmd_lengths(args):
 def _cmd_geodesic(args):
     fam = _family(args)
     _check_range("count", args.count, 2, MAX_COUNT)
-    a = ParameterPoint(args.chart, _floats(args.a))
-    b = ParameterPoint(args.chart, _floats(args.b))
+    a = ParameterPoint(args.chart, _floats(args.a, "a"))
+    b = ParameterPoint(args.chart, _floats(args.b, "b"))
     path = lengths.geodesic(fam, args.chart, a, b, args.alpha, count=args.count)
     cols = ("t",) + tuple(f"x_{i}" for i in range(path.samples.shape[1]))
     rows = [[t] + list(x) for t, x in zip(path.ts, path.samples)]
@@ -212,7 +215,7 @@ def _cmd_chsh(args):
         return _emit(args, table)
     if args.settings is None:
         raise _CliError("settings", "either --settings or --scan is required")
-    vals = [_angle(v, args.deg) for v in _floats(args.settings)]
+    vals = [_angle(v, args.deg) for v in _floats(args.settings, "settings")]
     if len(vals) != 4:
         raise _CliError("settings", "expected four angles a,a',b,b'")
     res = chsh.chsh_S(state, *vals)
@@ -251,7 +254,7 @@ def _cmd_membrane(args):
 
 
 def _cmd_string(args):
-    model = continuum.StringModel(args.amplitude, tuple(_floats(args.levels)))
+    model = continuum.StringModel(args.amplitude, tuple(_floats(args.levels, "levels")))
     rep = continuum.string_length_report(model, args.x)
     q = continuum.wavelength_quantization_check(model, args.x)
     cols = (
@@ -384,6 +387,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise _CliError(name.replace("_", "-"), "must be finite")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc.field}: {exc.reason}", file=sys.stderr)

@@ -119,7 +119,8 @@ def membrane_max_error(prob: MembraneProblem) -> float:
 
 
 def membrane_convergence_order(prob: MembraneProblem, nodes=(64, 128, 256)) -> list:
-    """Observed convergence orders under grid doubling.
+    """Observed convergence orders under grid doubling; None where an error
+    is 0 and there is no order to observe.
 
     The uniform-load solution is a parabola that second-order stencils
     reproduce to roundoff, so the order is measured on a manufactured
@@ -137,10 +138,16 @@ def membrane_convergence_order(prob: MembraneProblem, nodes=(64, 128, 256)) -> l
     for n in nodes:
         sub = MembraneProblem(t, p0, big_r, n)
         field = membrane_solve(sub, pressure_profile=load)
-        ref = np.array([exact(ri) for ri in field.radii])
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                ref = np.array([exact(ri) for ri in field.radii])
+        except (FloatingPointError, OverflowError) as exc:
+            raise NonConvergenceError(f"membrane convergence order overflowed: {exc}") from exc
         errors.append(float(np.max(np.abs(field.deflections - ref))))
+    # an error of 0, as under a load that is or underflows to 0, gives no order
     return [
-        float(np.log2(errors[k] / errors[k + 1])) for k in range(len(errors) - 1)
+        float(np.log2(e0 / e1)) if e0 > 0.0 and e1 > 0.0 else None
+        for e0, e1 in zip(errors, errors[1:])
     ]
 
 

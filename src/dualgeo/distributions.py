@@ -7,11 +7,15 @@ first three derivatives in closed form, together with the first and second
 derivatives of every chart map into the natural chart; the mean-to-natural
 Jacobian is the Hessian of the dual potential.  `cubic_form` contracts
 psi''' twice with a vector and `hess_dual_potential_product` applies phi''
-to one, each in closed form, as geodesic sprays need.  These are all the
-geometry module needs for Fisher metrics and alpha-connections.  Scores and
-log-density Hessians of single outcomes are transported from the natural
-chart by the chain rule; expectations are exact sums for discrete families
-and Gauss-Hermite quadrature for the Gaussian.
+to one, each in closed form, as geodesic sprays need.  With the Fisher
+information of a chart (J^T psi'' J, or diag(1, 2) / sigma^2 in the Gaussian
+raw chart, which the pullback reaches only by cancellation) these are all
+the geometry module needs for Fisher metrics and alpha-connections.  The
+third cumulant tensor `third_potential` is the reference for `cubic_form`
+and serves the log-density Hessians.  Scores and log-density Hessians of
+single outcomes are transported from the natural chart by the chain rule;
+expectations are exact sums for discrete families and Gauss-Hermite
+quadrature for the Gaussian.
 
 Batch convention: coordinates have shape (..., d), the leading axes a batch
 of points (a sampled path, a difference stencil).  `validate`, `convert`,
@@ -49,10 +53,6 @@ class ChartError(ValueError):
     """Chart unknown to the family or mismatched with the operation."""
 
 
-class NotExponentialFamilyChartError(ChartError):
-    """Operation requires a natural or mean chart point."""
-
-
 @dataclass(frozen=True)
 class ParameterPoint:
     """Coordinates of a distribution in a named chart: shape (d,) for one
@@ -87,16 +87,6 @@ def _components(x):
 def _all(mask):
     """mask.all(), without the array reduction for a single point's scalar."""
     return bool(mask) if mask.ndim == 0 else bool(mask.all())
-
-
-def cubic_pullback(t, m):
-    """sum_abc t[..., a, b, c] m[..., a, i] m[..., b, j] m[..., c, k] at every
-    point of a batch, as three batched matrix products (a four-operand einsum
-    over batch axes is several times slower)."""
-    d = m.shape[-1]
-    mt = m.swapaxes(-1, -2)
-    u = mt[..., None, :, :] @ (t @ m[..., None, :, :])  # [a, j, k]
-    return (mt @ u.reshape(u.shape[:-3] + (d, d * d))).reshape(u.shape)
 
 
 def _pack(nested, batch):
@@ -206,21 +196,25 @@ class DistributionFamily(ABC):
             return self.hess_dual_potential(pt.coords)
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
-    def _natural_jacobian_derivative(self, pt: ParameterPoint, cubic=None) -> np.ndarray:
+    def _natural_jacobian_derivative(self, pt: ParameterPoint) -> np.ndarray:
         """H[..., a, i, j] = d^2 theta_a / d u_i d u_j of the map into the
-        natural chart, (..., d, d, d).  In the mean chart H is minus psi'''
-        pulled back by the Jacobian phi''; a caller that holds that cubic form,
-        `cubic_pullback(psi3, jac)`, passes it in."""
-        if pt.chart == NATURAL:
-            return np.zeros(pt.coords.shape[:-1] + (self.dim,) * 3)
+        natural chart, (..., d, d, d), in a chart other than the natural one.
+        In the mean chart H is minus psi''' pulled back by the Jacobian phi''."""
         if pt.chart == MEAN:
             # d phi'' = -phi'' (d psi'') phi'' and d psi''_de / d eta_j = psi_def phi''_fj,
             # so H_aij = -phi''_ad psi_def phi''_ei phi''_fj, with phi'' symmetric
-            if cubic is None:
-                psi3 = self.third_potential(self.grad_dual_potential(pt.coords))
-                cubic = cubic_pullback(psi3, self.hess_dual_potential(pt.coords))
-            return -cubic
+            psi3 = self.third_potential(self.grad_dual_potential(pt.coords))
+            jac = self.hess_dual_potential(pt.coords)
+            return -np.einsum("...def,...da,...ei,...fj->...aij", psi3, jac, jac, jac)
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
+
+    def _fisher_information(self, pt: ParameterPoint) -> np.ndarray:
+        """Fisher information J^T psi''(theta) J at the points of pt,
+        validated by the caller, (..., d, d)."""
+        theta = pt.coords if pt.chart == NATURAL else self._coords_in(pt, NATURAL)
+        jac = self._natural_jacobian(pt)
+        g = jac.swapaxes(-1, -2) @ self.hess_potential(theta) @ jac
+        return 0.5 * (g + g.swapaxes(-1, -2))
 
     def score(self, pt: ParameterPoint, x) -> np.ndarray:
         """Gradient of log p w.r.t. the coordinates of pt's chart."""
@@ -250,17 +244,6 @@ class DistributionFamily(ABC):
     @abstractmethod
     def expect(self, pt: ParameterPoint, f):
         """Expectation of f(x); exact for discrete, quadrature for Gaussian."""
-
-    def sufficient_stat_mean(self, pt: ParameterPoint) -> np.ndarray:
-        """Mean parameters eta = grad psi(theta)."""
-        self.validate(pt)
-        if pt.chart == MEAN:
-            return pt.coords.copy()
-        if pt.chart != NATURAL:
-            raise NotExponentialFamilyChartError(
-                f"chart {pt.chart!r} is not an exponential-family chart; convert first"
-            )
-        return self.grad_potential(pt.coords)
 
     @abstractmethod
     def kl(self, p: ParameterPoint, q: ParameterPoint):
@@ -397,7 +380,9 @@ class Categorical(_DiscreteFamily):
         if pt.coords.shape[-1] != self.dim:
             raise InvalidParameterError(f"expected {self.dim} coordinates")
         if pt.chart == MEAN:
-            full = _with_last(pt.coords)
+            # a sum that overflows, or is nan, fails the test below
+            with np.errstate(over="ignore", invalid="ignore"):
+                full = _with_last(pt.coords)
             if not _all((full > 0.0) & (full < 1.0)):
                 if not _all((full != 0.0) & (full != 1.0)):
                     raise BoundaryParameterError("probability on the boundary")
@@ -657,7 +642,7 @@ class Gaussian1D(DistributionFamily):
             )
         return super()._natural_jacobian(pt)
 
-    def _natural_jacobian_derivative(self, pt: ParameterPoint, cubic=None) -> np.ndarray:
+    def _natural_jacobian_derivative(self, pt: ParameterPoint) -> np.ndarray:
         if pt.chart == RAW:
             # theta = (mu / sigma^2, -1 / (2 sigma^2))
             mu, sigma = _components(pt.coords)
@@ -667,7 +652,16 @@ class Gaussian1D(DistributionFamily):
                 [[[zero, -2.0 / s3], [-2.0 / s3, 6.0 * mu / s4]], [[zero, zero], [zero, -3.0 / s4]]],
                 pt.coords.shape[:-1],
             )
-        return super()._natural_jacobian_derivative(pt, cubic)
+        return super()._natural_jacobian_derivative(pt)
+
+    def _fisher_information(self, pt: ParameterPoint) -> np.ndarray:
+        if pt.chart == RAW:
+            # diag(1, 2) / sigma^2: J^T psi'' J reaches it only by cancelling
+            # terms that grow with (mu / sigma)^2
+            inv_var = 1.0 / pt.coords[..., 1] ** 2
+            zero = np.zeros(pt.coords.shape[:-1])
+            return _pack([[inv_var, zero], [zero, 2.0 * inv_var]], pt.coords.shape[:-1])
+        return super()._fisher_information(pt)
 
     def kl(self, p: ParameterPoint, q: ParameterPoint):
         mu1, s1 = self._raw(p)

@@ -20,14 +20,18 @@ independent metric route that the length functionals cross-check.
 `christoffel` follow the batch convention of `distributions`: a
 ParameterPoint with coordinates (..., d) gives metrics (..., d, d) and
 connection coefficients (..., d, d, d), and a single point is the no-batch
-case of the same code.  The upper index of a batch of connections comes from
-one batched linear solve with the metrics.
+case of the same code.
 
-`geodesic_spray` gives what geodesic equations need of a connection, the
-d-vector Gamma^k_ij v^i v^j, from the third cumulant contracted with the
-velocity (`cubic_form`), without the d^3 tensor: no solve in the mean chart,
-one d x d solve in the natural chart.  `christoffel` stays the library's
-alpha-connection, and the tests check the spray against it.
+The alpha-connection has one route, `geodesic_spray`: the d-vector
+Gamma^k_ij v^i v^j that geodesic equations need, from the third cumulant
+contracted with the velocity (`cubic_form`), without the d^3 tensor.  In the
+mean chart it needs no solve, and in the natural chart psi'' is inverted once
+per point.  `christoffel` is the polarised spray: Gamma(v, v) is a symmetric
+quadratic form, so Gamma(e_j, e_k) = [Gamma(e_j + e_k) - Gamma(e_j - e_k)] / 4
+gives the whole tensor from one spray call, and `christoffel_first_kind`
+lowers its index with the metric.  Neither needs the d^3 tensor psi_abc
+(`third_potential`), which stays in `distributions` as the reference for
+`cubic_form`.
 """
 from __future__ import annotations
 
@@ -41,8 +45,8 @@ from .distributions import (
     ChartError,
     DistributionFamily,
     ParameterPoint,
-    cubic_pullback,
 )
+from .errors import NonConvergenceError
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -159,25 +163,17 @@ class PotentialPair:
         )
 
 
-def _natural_frame(family: DistributionFamily, pt: ParameterPoint):
-    """theta(pt), the Jacobian J = d theta / du and psi''(theta)."""
-    family.validate(pt)
-    theta = pt.coords if pt.chart == NATURAL else family._coords_in(pt, NATURAL)
-    return theta, family._natural_jacobian(pt), family.hess_potential(theta)
-
-
-def _pullback(jac, psi2):
-    g = jac.swapaxes(-1, -2) @ psi2 @ jac
-    return 0.5 * (g + g.swapaxes(-1, -2))
-
-
 def fisher_metric(family: DistributionFamily, pt: ParameterPoint) -> MetricTensor:
     """Fisher information J^T psi''(theta) J in the chart of pt, at every
     point of a batch: coordinates (..., d) give components (..., d, d).
-    Raises DegenerateMetricError where the metric is not positive definite,
-    as where psi'' underflows to 0 far out in the natural chart."""
-    _, jac, psi2 = _natural_frame(family, pt)
-    metric = MetricTensor(pt.chart, pt, _pullback(jac, psi2))
+    Raises DegenerateMetricError where the metric is not finite or not
+    positive definite, as where phi'' overflows near the boundary of the mean
+    chart or psi'' underflows to 0 far out in the natural chart."""
+    family.validate(pt)
+    # a metric that overflows fails MetricTensor's test for finite components
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        components = family._fisher_information(pt)
+    metric = MetricTensor(pt.chart, pt, components)
     try:
         np.linalg.cholesky(metric.components)
     except np.linalg.LinAlgError:
@@ -192,7 +188,11 @@ def legendre_dual(pot: PotentialPair, theta: ParameterPoint):
     if np.any(np.linalg.eigvalsh(hess) <= 0.0):
         raise DegenerateMetricError("potential not strictly convex at theta")
     eta = np.atleast_1d(pot.grad_psi(theta.coords))
-    phi_value = float(np.dot(theta.coords, eta) - pot.psi(theta.coords))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            phi_value = float(np.dot(theta.coords, eta) - pot.psi(theta.coords))
+    except FloatingPointError as exc:
+        raise NonConvergenceError(f"dual potential overflows: {exc}") from None
     return ParameterPoint(pot.dual_chart, eta), phi_value
 
 
@@ -240,39 +240,38 @@ def dual_metrics(pot: PotentialPair, theta: ParameterPoint):
     )
 
 
-def _first_kind(family, pt, alpha, theta, jac, psi2):
-    w = 0.5 * (1.0 - alpha)
-    # psi_abc J^a_i J^b_j J^c_k once per call: the cubic term needs it unless
-    # alpha = 1, and the mean chart's bending is minus it for every alpha
-    need_cubic = w != 0.0 or pt.chart == MEAN
-    cubic = cubic_pullback(family.third_potential(theta), jac) if need_cubic else None
-    # psi_ab H^a_ij J^b_k: the bending of the chart, the same for every alpha
-    bend = family._natural_jacobian_derivative(pt, cubic)
-    lower = np.einsum("...aij,...ak->...ijk", bend, psi2 @ jac)
-    if w != 0.0:
-        lower += w * cubic
-    return lower
-
-
 def christoffel_first_kind(
     family: DistributionFamily, pt: ParameterPoint, alpha: float
 ) -> np.ndarray:
-    """Lower-index coefficients Gamma^(alpha)_{ij,k}, components[..., i, j, k]."""
-    return _first_kind(family, pt, alpha, *_natural_frame(family, pt))
+    """Lower-index coefficients Gamma^(alpha)_{ij,k} = g_kl Gamma^l_ij,
+    components[..., i, j, k]."""
+    g = fisher_metric(family, pt).components
+    return np.einsum("...kl,...lij->...ijk", g, christoffel(family, pt, alpha).components)
 
 
 def christoffel(
     family: DistributionFamily, pt: ParameterPoint, alpha: float
 ) -> ChristoffelArray:
-    """Alpha-connection coefficients Gamma^i_{jk} = g^il Gamma_{jk,l} in the
-    chart of pt: coordinates (..., d) give components (..., d, d, d)."""
-    theta, jac, psi2 = _natural_frame(family, pt)
-    lower = _first_kind(family, pt, alpha, theta, jac, psi2)
-    d = jac.shape[-1]
-    batch = lower.shape[:-3]
-    # rows l, columns (j, k): one solve with g raises the index at every point
-    rhs = lower.reshape(batch + (d * d, d)).swapaxes(-1, -2)
-    comps = np.linalg.solve(_pullback(jac, psi2), rhs).reshape(batch + (d, d, d))
+    """Alpha-connection coefficients Gamma^i_{jk} in the chart of pt:
+    coordinates (..., d) give components (..., d, d, d).
+
+    Gamma(v, v) is a symmetric quadratic form in v, so by polarisation
+    Gamma(e_j, e_k) = [Gamma(e_j + e_k) - Gamma(e_j - e_k)] / 4: one
+    `geodesic_spray` call, on the d (d + 1) velocities e_j +- e_k (j <= k) at
+    every point, gives the whole tensor.
+    """
+    d = pt.coords.shape[-1]
+    j, k = np.triu_indices(d)
+    eye = np.eye(d)
+    rows = geodesic_spray(
+        family,
+        ParameterPoint(pt.chart, pt.coords[..., None, :]),
+        np.concatenate([eye[j] + eye[k], eye[j] - eye[k]]),
+        alpha,
+    )
+    quarter = 0.25 * (rows[..., : len(j), :] - rows[..., len(j) :, :]).swapaxes(-1, -2)
+    comps = np.empty(pt.coords.shape[:-1] + (d, d, d))
+    comps[..., j, k] = comps[..., k, j] = quarter
     return ChristoffelArray(pt.chart, pt, float(alpha), comps)
 
 
@@ -281,7 +280,9 @@ def geodesic_spray(
 ) -> np.ndarray:
     """The alpha-connection contracted twice with a velocity,
     Gamma^k_ij v^i v^j, at every point of pt: coordinates and velocities
-    (..., d) give (..., d), without the d^3 Christoffel tensor.
+    (..., d) give (..., d), without the d^3 Christoffel tensor.  The batch
+    shapes of the points and the velocities broadcast, so points (..., 1, d)
+    and velocities (n, d) give n velocities at every point.
 
     With u = J v the first-kind formula gives
     Gamma(v, v) = J^-1 [(1 - alpha)/2 psi''^-1 psi'''(u, u, .) + H(v, v)]:
@@ -296,7 +297,9 @@ def geodesic_spray(
         u = family.hess_dual_potential_product(pt.coords, v)
         return (w - 1.0) * family.cubic_form(family._coords_in(pt, NATURAL), u)
     if pt.chart == NATURAL:
-        return w * _solve_vec(family.hess_potential(pt.coords), family.cubic_form(pt.coords, v))
+        # psi'' inverted once per point, however many velocities share it
+        inv = np.linalg.inv(family.hess_potential(pt.coords))
+        return w * (inv @ family.cubic_form(pt.coords, v)[..., None])[..., 0]
     # any other chart: the general form, with one solve by psi'' and one by J
     theta = family._coords_in(pt, NATURAL)
     jac = family._natural_jacobian(pt)

@@ -37,10 +37,6 @@ def format_value(v: float) -> str:
     return format(v, ".17g")
 
 
-def _parse_value(s: str) -> float:
-    return float(s)
-
-
 def to_csv(table: ScanTable) -> bytes:
     lines = [",".join(table.columns)]
     for row in table.rows:
@@ -52,7 +48,7 @@ def from_csv(data: bytes, meta=None) -> ScanTable:
     text = data.decode("ascii")
     lines = [ln for ln in text.split("\n") if ln != ""]
     columns = tuple(lines[0].split(",")) if lines[0] else ()
-    rows = [[_parse_value(v) for v in ln.split(",")] for ln in lines[1:]]
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     return ScanTable(columns, rows, dict(meta or {}))
 
 

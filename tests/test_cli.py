@@ -1,8 +1,14 @@
 """Batch CLI: exit codes, diagnostics, output formats, determinism."""
+import contextlib
+import io
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ellipeinc
 
 from dualgeo import cli, continuum, tables
@@ -214,6 +220,8 @@ def test_wide_bernoulli_geodesic_runs_linearly_in_arcsin_sqrt_eta(tmp_path):
         (["fisher", "--family", "gaussian", "--chart", "natural", "--point", "0,-1e-154"], "sigma must be at most"),
         # eta1^2 overflows: the variance is negative, not an overflow
         (["fisher", "--family", "gaussian", "--chart", "mean", "--point", "1e200,1"], "variance"),
+        # 1 / (eta (1 - eta)) = 1e310 overflows
+        (["fisher", "--family", "bernoulli", "--chart", "mean", "--point", "1e-310"], "must be finite"),
     ],
 )
 def test_unrepresentable_metric_exits_2(argv, reason, tmp_path, capsys):
@@ -387,3 +395,147 @@ def test_size_flag_edges_accepted(tmp_path):
     # sqrt(2) arccosh(11/8) = 1.18938..., and within 1% of it
     assert 1.18938 < row["primal"] < 1.01 * 1.18938
     assert row["grid_size"] == cli.MAX_COUNT
+
+
+# -- the exit-code contract over wide argv -----------------------------------
+# Every subcommand, with numbers from the wide, near-boundary and non-finite
+# ends of the doubles, and small sizes so that each run is quick: exit 0, 2 or
+# 3, an "error: " line on every non-zero exit, and no traceback, with a
+# RuntimeWarning raised as an error.
+
+NUMBER = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "0.5", "1e-310", "-1e-300", "1e300", "-1e308", "inf", "-inf", "nan", "1e400"]),
+    st.floats(-4.0, 4.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+NUMBERS = st.lists(NUMBER, min_size=1, max_size=3).map(",".join)
+K = {"k": st.integers(2, 4)}
+FAMILY = {
+    "family": st.sampled_from(["gaussian", "bernoulli", "categorical"]),
+    "chart": st.sampled_from(["natural", "mean", "raw"]),
+    **K,
+}
+# subcommand -> (required flags, optional flags)
+FUZZ_FLAGS = {
+    "fisher": ({**FAMILY, "point": NUMBERS}, {}),
+    "legendre": ({"family": st.sampled_from(["gaussian", "bernoulli", "categorical", "quadratic"]),
+                  "theta": NUMBERS, **K}, {}),
+    "divergence": ({**FAMILY, "p": NUMBERS, "q": NUMBERS}, {"r": NUMBERS}),
+    "lengths": ({**FAMILY, "start": NUMBERS, "end": NUMBERS, "count": st.integers(2, 9)}, {}),
+    "geodesic": ({**FAMILY, "a": NUMBERS, "b": NUMBERS, "alpha": st.sampled_from([-1, 0, 1]),
+                  "count": st.integers(2, 9)}, {}),
+    "berry": ({"theta-c": NUMBER, "segments": st.integers(8, 64), "surface-nu": st.integers(1, 8),
+               "surface-nv": st.integers(1, 8)}, {}),
+    "chsh": ({"state": st.sampled_from(["singlet", "product", "partial"])},
+             {"weight": NUMBER, "settings": NUMBERS, "scan": st.integers(8, 12)}),
+    "decompose": ({"theta": NUMBER, "n": NUMBER}, {}),
+    "membrane": ({"T": NUMBER, "p": NUMBER, "R": NUMBER, "nodes": st.integers(16, 40)}, {}),
+    "string": ({"A": NUMBER, "fs": NUMBERS, "x": NUMBER}, {}),
+}
+
+
+def fuzz_argv(name):
+    required, optional = FUZZ_FLAGS[name]
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda flags: [name] + [f"--{k}={v}" for k, v in flags.items()]
+    )
+
+
+def run_clean(argv):
+    """Exit code and stderr of argv, with a RuntimeWarning raised as an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv + ["--output", os.devnull])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_FLAGS))
+def test_exit_code_contract_over_wide_argv(name):
+    @given(fuzz_argv(name))
+    def check(argv):
+        code, err = run_clean(argv)
+        assert code in (0, 2, 3), argv
+        assert code == 0 or err.startswith("error: "), argv
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["membrane", "--T", "inf", "--p", "1", "--R", "1"], "tension"),
+        (["decompose", "--theta", "1", "--n", "inf"], "n"),
+        (["berry", "--theta-c", "nan"], "theta-c"),
+        (["lengths", "--family", "bernoulli", "--start", "0.2", "--end", "inf"], "end"),
+        (["fisher", "--family", "gaussian", "--chart", "raw", "--point", "1e400,1"], "point"),
+    ],
+)
+def test_non_finite_numbers_exit_2_when_parsed(argv, field):
+    # each once reached the numerics: a ZeroDivisionError traceback from the
+    # membrane's convergence orders, or RuntimeWarnings before exit 2
+    assert run_clean(argv) == (2, f"error: {field}: must be finite\n")
+
+
+def test_legendre_theta_validated_with_the_family():
+    code, err = run_clean(["legendre", "--family", "gaussian", "--theta", "1,0"])
+    assert code == 2 and err.startswith("error: parameters: second natural parameter must be negative")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("pt, g11", [("1e8,1", 2.0), ("1234567.8,1.3", 2.0 / 1.69), ("0.4,1.3", 2.0 / 1.69)])
+def test_raw_gaussian_fisher_metric_is_diagonal_at_any_mean(pt, g11, tmp_path):
+    # diag(1, 2) / sigma^2: J^T psi'' J cancelled terms of size (mu / sigma)^2,
+    # left g_01 = 4e-17 at 0.4,1.3 and no positive definite metric at 1e8,1
+    code, data = run(["fisher", "--family", "gaussian", "--chart", "raw", "--point", pt], tmp_path)
+    assert code == 0
+    g = np.array(tables.from_csv(data).rows)[:, 2].reshape(2, 2)
+    assert g[0, 1] == g[1, 0] == 0.0
+    assert abs(g[1, 1] - g11) <= np.spacing(g11) and g[0, 0] == 0.5 * g[1, 1]
+
+
+def test_quadratic_legendre_overflow_exits_3():
+    # |theta|^2 = 1e600: no representable dual potential
+    code, err = run_clean(["legendre", "--family", "quadratic", "--theta", "1e300"])
+    assert code == 3 and err.startswith("error: numerics: dual potential overflows")
+
+
+def test_zero_load_membrane_has_no_convergence_order(tmp_path):
+    # the manufactured solution is 0 too: its errors are 0 and give no order,
+    # where the ratio of errors once raised a ZeroDivisionError
+    code, data = run(MEMBRANE + ["--p", "0", "--nodes", "16", "--format", "json"], tmp_path)
+    assert code == 0
+    payload = json.loads(data)
+    assert payload["meta"]["convergence_orders"] == [None, None]
+    assert not np.any(np.array(payload["rows"])[:, 1:])
+
+
+# Known breaches of the contract, each a RuntimeWarning today; strict, so that
+# a mended case fails here until its mark goes.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Gaussian mean coordinates keep sigma^2 only as eta2 - eta1^2: at
+        # sigma = 1e-16 beside mu^2 = 640000 it rounds to 0, and the Bregman
+        # column's log(0) warns
+        ["divergence", "--family", "gaussian", "--chart", "raw", "--p", "800,1e-16", "--q", "1e-310,0.5"],
+        # the same loss at |mu| / sigma = 1.3e10 in the dual length's phi''
+        ["lengths", "--family", "gaussian", "--chart", "raw", "--start=-1.77e10,1.33", "--end=-1.77e10,1.33"],
+        # p(x) / q(x) = 0.25 / 1e-310 overflows in the discrete KL, whose
+        # value, 178 nats, is finite
+        ["divergence", "--family", "bernoulli", "--p", "0.25", "--q", "0.25", "--r", "1e-310"],
+        # the cap's colatitude grid overflows in linspace
+        ["berry", "--theta-c", "1.7976931348623157e308", "--segments", "12", "--surface-nu", "3", "--surface-nv", "2"],
+    ],
+    ids=["divergence-gaussian-mean", "lengths-gaussian-mean", "divergence-subnormal-q", "berry-max-colatitude"],
+)
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning)
+def test_known_contract_breaches(argv):
+    code, err = run_clean(argv)
+    assert code in (0, 2, 3) and (code == 0 or err.startswith("error: "))
+
+
+def test_membrane_convergence_order_overflow_exits_3():
+    # the solve is finite, but r^4 of the manufactured quartic's reference overflows
+    code, err = run_clean(["membrane", "--T", "3.5e77", "--p", "0", "--R", "3.5e77", "--nodes", "31"])
+    assert code == 3 and err.startswith("error: numerics: membrane convergence order overflowed")

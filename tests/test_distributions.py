@@ -12,7 +12,6 @@ from dualgeo.distributions import (
     ChartError,
     Gaussian1D,
     InvalidParameterError,
-    NotExponentialFamilyChartError,
     ParameterPoint,
     SupportError,
     point,
@@ -192,10 +191,9 @@ def test_gaussian_validation():
         fam.validate(point(MEAN, 2.0, 1.0))
 
 
-def test_sufficient_stat_mean_requires_exp_family_chart():
-    fam = Gaussian1D()
-    with pytest.raises(NotExponentialFamilyChartError):
-        fam.sufficient_stat_mean(point(RAW, 0.0, 1.0))
+def test_categorical_mean_validation_survives_an_overflowing_sum():
+    with np.errstate(all="raise"), pytest.raises(InvalidParameterError, match="must lie in"):
+        Categorical(4).validate(point(MEAN, -1e308, -1e308, 1e-300))
 
 
 def test_parameter_point_rejects_nonfinite():
