@@ -117,15 +117,13 @@ def _cmd_fisher(args):
 
 def _cmd_legendre(args):
     values = _floats(args.theta, "theta")
+    theta = ParameterPoint(NATURAL, values)
     if args.family == "quadratic":
-        pot = geometry.PotentialPair.quadratic(dim=len(values))
-        theta = ParameterPoint(pot.primal_chart, values)
+        fam = geometry.QuadraticPotential(len(values))
     else:
         fam = _family(args)
-        pot = geometry.PotentialPair.from_family(fam)
-        theta = ParameterPoint(NATURAL, values)
         fam.validate(theta)
-    eta, phi_value = geometry.legendre_dual(pot, theta)
+    eta, phi_value = geometry.legendre_dual(fam, theta)
     cols = tuple(f"eta_{i}" for i in range(eta.coords.size)) + ("phi",)
     rows = [list(eta.coords) + [phi_value]]
     return _emit(args, tables.ScanTable(cols, rows, _meta(args, "legendre")))
@@ -135,10 +133,9 @@ def _cmd_divergence(args):
     fam = _family(args)
     p = ParameterPoint(args.chart, _floats(args.p, "p"))
     q = ParameterPoint(args.chart, _floats(args.q, "q"))
-    pot = geometry.PotentialPair.from_family(fam)
     kl_pq = geometry.kl_divergence(fam, p, q)
     kl_qp = geometry.kl_divergence(fam, q, p)
-    breg = geometry.bregman_divergence(pot, fam.convert(q, NATURAL), fam.convert(p, MEAN))
+    breg = geometry.bregman_divergence(fam, fam.convert(q, NATURAL), fam.convert(p, MEAN))
     cols = ["kl_pq", "kl_qp", "bregman"]
     row = [kl_pq, kl_qp, breg]
     if args.r is not None:
@@ -185,6 +182,7 @@ def _cmd_berry(args):
             "surface-mesh", f"(surface-nu + 1) * (surface-nv + 1) = {points} exceeds {MAX_MESH_POINTS}"
         )
     theta_c = _angle(args.theta_c, args.deg)
+    _check_range("theta-c", theta_c, 0.0, np.pi)
     loop = berry.latitude_loop(theta_c, args.segments)
     loop_phase = berry.berry_phase_loop(fam, loop, unwrapped=True)
     mesh = berry.polar_cap(theta_c, args.surface_nu, args.surface_nv)

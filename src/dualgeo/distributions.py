@@ -15,15 +15,18 @@ third cumulant tensor `third_potential` is the reference for `cubic_form`
 and serves the log-density Hessians.  Scores and log-density Hessians of
 single outcomes are transported from the natural chart by the chain rule;
 expectations are exact sums for discrete families and Gauss-Hermite
-quadrature for the Gaussian.
+quadrature for the Gaussian.  The discrete KL divergence has one formula,
+sum_x p(x) (log p(x) - log q(x)), from `log_probs`: log-sigmoid and
+log-softmax in the natural chart keep it finite where a probability rounds
+to 0.
 
 Batch convention: coordinates have shape (..., d), the leading axes a batch
 of points (a sampled path, a difference stencil).  `validate`, `convert`,
-`probs`, `kl`, the Jacobian of the map into the natural chart and the
-potentials with their derivatives act on a whole batch in one call, and a
-single point is the no-batch case, coordinates of shape (d,), of the same
-code.  A matrix-valued map returns (..., d, d); a scalar-valued one returns
-a float for a single point and an array of the batch shape otherwise.
+`probs`, `log_probs`, `kl`, the Jacobian of the map into the natural chart
+and the potentials with their derivatives act on a whole batch in one call,
+and a single point is the no-batch case, coordinates of shape (d,), of the
+same code.  A matrix-valued map returns (..., d, d); a scalar-valued one
+returns a float for a single point and an array of the batch shape otherwise.
 """
 from __future__ import annotations
 
@@ -152,11 +155,11 @@ class DistributionFamily(ABC):
     def third_potential(self, theta) -> np.ndarray:
         """psi_abc(theta): the third cumulant tensor of the sufficient statistic."""
 
+    @abstractmethod
     def cubic_form(self, theta, u) -> np.ndarray:
         """psi_abc(theta) u^a u^b, (..., d): the third cumulant contracted
-        twice with u at every point of a batch.  Families override it with a
-        closed form that does not build the d^3 tensor."""
-        return np.einsum("...abc,...a,...b->...c", self.third_potential(theta), u, u)
+        twice with u at every point of a batch, in a closed form that does not
+        build the d^3 tensor."""
 
     @abstractmethod
     def dual_potential(self, eta):
@@ -258,6 +261,12 @@ class _DiscreteFamily(DistributionFamily):
     def probs(self, pt: ParameterPoint) -> np.ndarray:
         """Outcome probabilities, indexed by outcome on the last axis."""
 
+    def log_probs(self, pt: ParameterPoint) -> np.ndarray:
+        """Log outcome probabilities, indexed by outcome on the last axis.
+        Families override the natural chart with a form that stays exact
+        where a probability rounds to 0 or 1."""
+        return np.log(self.probs(pt))
+
     @property
     @abstractmethod
     def outcomes(self):
@@ -273,14 +282,12 @@ class _DiscreteFamily(DistributionFamily):
         return sum(pi * v for pi, v in zip(p, vals))
 
     def kl(self, p: ParameterPoint, q: ParameterPoint):
-        return _scalar(np.sum(self._kl_terms(p, q), axis=-1))
-
-    def _kl_terms(self, p, q):
-        """p(x) log(p(x) / q(x)) per outcome: 0 where p(x) = 0, inf where only q(x) = 0."""
-        pp = self.probs(p)
-        qq = self.probs(q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(pp == 0.0, 0.0, pp * np.log(pp / qq))
+        # sum_x p(x) (log p(x) - log q(x)), whose term is 0 where
+        # log p(x) = -inf and inf where only log q(x) = -inf
+        lp = self.log_probs(p)
+        lq = self.log_probs(q)
+        with np.errstate(invalid="ignore"):
+            return _scalar(np.sum(np.where(lp == -np.inf, 0.0, np.exp(lp) * (lp - lq)), axis=-1))
 
 
 class Bernoulli(_DiscreteFamily):
@@ -309,13 +316,11 @@ class Bernoulli(_DiscreteFamily):
         eta = self.convert(pt, MEAN).coords
         return np.concatenate([1.0 - eta, eta], axis=-1)
 
-    def _kl_terms(self, p, q):
-        if p.chart == q.chart == NATURAL:
-            # log-sigmoid log-probabilities stay exact where the sigmoid rounds to 0 or 1
-            lp = np.concatenate([log_expit(-p.coords), log_expit(p.coords)], axis=-1)
-            lq = np.concatenate([log_expit(-q.coords), log_expit(q.coords)], axis=-1)
-            return np.exp(lp) * (lp - lq)
-        return super()._kl_terms(p, q)
+    def log_probs(self, pt: ParameterPoint) -> np.ndarray:
+        if pt.chart == NATURAL:
+            # log-sigmoid stays exact where the sigmoid rounds to 0 or 1
+            return np.concatenate([log_expit(-pt.coords), log_expit(pt.coords)], axis=-1)
+        return super().log_probs(pt)
 
     def potential(self, theta):
         return _scalar(np.logaddexp(0.0, np.asarray(theta, dtype=float)[..., 0]))
@@ -392,6 +397,15 @@ class Categorical(_DiscreteFamily):
         if pt.chart == MEAN:
             return _with_last(pt.coords)
         return _softmax(pt.coords)
+
+    def log_probs(self, pt: ParameterPoint) -> np.ndarray:
+        if pt.chart == NATURAL:
+            # log-softmax; a log-odds spread beyond the largest double gives -inf
+            z = _append_zero(pt.coords)
+            with np.errstate(over="ignore"):
+                z = z - z.max(axis=-1, keepdims=True)
+            return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+        return super().log_probs(pt)
 
     def potential(self, theta):
         return _scalar(logsumexp(_append_zero(theta), axis=-1))

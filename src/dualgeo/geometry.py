@@ -16,6 +16,11 @@ the exponential (alpha = 1), Levi-Civita (alpha = 0), and mixture
 (alpha = -1) connections.  Hessians of the KL divergence give the
 independent metric route that the length functionals cross-check.
 
+Each family is its own Legendre pair: `legendre_dual`, `bregman_divergence`
+and `dual_metrics` take the family, with psi on the natural chart and its
+dual phi on the mean chart.  `QuadraticPotential` is the self-dual
+|theta|^2 / 2 with the same potential methods.
+
 `fisher_metric`, `divergence_hessians`, `christoffel_first_kind` and
 `christoffel` follow the batch convention of `distributions`: a
 ParameterPoint with coordinates (..., d) gives metrics (..., d, d) and
@@ -47,10 +52,6 @@ from .distributions import (
     ParameterPoint,
 )
 from .errors import NonConvergenceError
-
-PRIMAL = "primal"
-DUAL = "dual"
-
 
 class DegenerateMetricError(ValueError):
     """Metric or Hessian not positive definite where it must be."""
@@ -112,55 +113,25 @@ class RotationMap:
         object.__setattr__(self, "matrix", m)
 
 
-class PotentialPair:
-    """A convex potential, its Legendre dual, and their gradient/Hessian maps."""
+class QuadraticPotential:
+    """The self-dual psi(theta) = |theta|^2 / 2 on R^dim, with the potential
+    methods of a family: natural and mean coordinates coincide."""
 
-    def __init__(
-        self,
-        psi,
-        grad_psi,
-        hess_psi,
-        phi,
-        grad_phi,
-        hess_phi,
-        primal_chart=PRIMAL,
-        dual_chart=DUAL,
-    ):
-        self.psi = psi
-        self.grad_psi = grad_psi
-        self.hess_psi = hess_psi
-        self.phi = phi
-        self.grad_phi = grad_phi
-        self.hess_phi = hess_phi
-        self.primal_chart = primal_chart
-        self.dual_chart = dual_chart
+    def __init__(self, dim: int):
+        self._eye = np.eye(dim)
 
-    @classmethod
-    def from_family(cls, family: DistributionFamily) -> "PotentialPair":
-        """Log-partition / negative-entropy pair of an exponential family."""
-        return cls(
-            family.potential,
-            family.grad_potential,
-            family.hess_potential,
-            family.dual_potential,
-            family.grad_dual_potential,
-            family.hess_dual_potential,
-            primal_chart=NATURAL,
-            dual_chart=MEAN,
-        )
+    def potential(self, theta):
+        return 0.5 * float(np.dot(theta, theta))
 
-    @classmethod
-    def quadratic(cls, dim: int = 1) -> "PotentialPair":
-        """Self-dual psi(theta) = |theta|^2 / 2."""
-        eye = np.eye(dim)
-        return cls(
-            lambda t: 0.5 * float(np.dot(t, t)),
-            lambda t: np.asarray(t, dtype=float).copy(),
-            lambda t: eye.copy(),
-            lambda e: 0.5 * float(np.dot(e, e)),
-            lambda e: np.asarray(e, dtype=float).copy(),
-            lambda e: eye.copy(),
-        )
+    def grad_potential(self, theta):
+        return np.asarray(theta, dtype=float).copy()
+
+    def hess_potential(self, theta):
+        return self._eye.copy()
+
+    dual_potential = potential
+    grad_dual_potential = grad_potential
+    hess_dual_potential = hess_potential
 
 
 def fisher_metric(family: DistributionFamily, pt: ParameterPoint) -> MetricTensor:
@@ -181,27 +152,32 @@ def fisher_metric(family: DistributionFamily, pt: ParameterPoint) -> MetricTenso
     return metric
 
 
-def legendre_dual(pot: PotentialPair, theta: ParameterPoint):
-    """Map a primal point to its dual coordinates and the dual potential value."""
-    _require_chart(theta, pot.primal_chart)
-    hess = np.atleast_2d(pot.hess_psi(theta.coords))
+def legendre_dual(family: DistributionFamily | QuadraticPotential, theta: ParameterPoint):
+    """Map a natural-chart point to its mean coordinates and the dual potential value."""
+    _require_chart(theta, NATURAL)
+    hess = np.atleast_2d(family.hess_potential(theta.coords))
     if np.any(np.linalg.eigvalsh(hess) <= 0.0):
         raise DegenerateMetricError("potential not strictly convex at theta")
-    eta = np.atleast_1d(pot.grad_psi(theta.coords))
+    eta = np.atleast_1d(family.grad_potential(theta.coords))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            phi_value = float(np.dot(theta.coords, eta) - pot.psi(theta.coords))
+            phi_value = float(np.dot(theta.coords, eta) - family.potential(theta.coords))
     except FloatingPointError as exc:
         raise NonConvergenceError(f"dual potential overflows: {exc}") from None
-    return ParameterPoint(pot.dual_chart, eta), phi_value
+    return ParameterPoint(MEAN, eta), phi_value
 
 
-def bregman_divergence(pot: PotentialPair, theta: ParameterPoint, eta: ParameterPoint) -> float:
-    """psi(theta) + phi(eta) - <theta, eta>; nonnegative, zero iff dual pair."""
-    _require_chart(theta, pot.primal_chart)
-    _require_chart(eta, pot.dual_chart)
+def bregman_divergence(
+    family: DistributionFamily | QuadraticPotential, theta: ParameterPoint, eta: ParameterPoint
+) -> float:
+    """psi(theta) + phi(eta) - <theta, eta> for natural theta and mean eta;
+    nonnegative, zero iff dual pair."""
+    _require_chart(theta, NATURAL)
+    _require_chart(eta, MEAN)
     return float(
-        pot.psi(theta.coords) + pot.phi(eta.coords) - np.dot(theta.coords, eta.coords)
+        family.potential(theta.coords)
+        + family.dual_potential(eta.coords)
+        - np.dot(theta.coords, eta.coords)
     )
 
 
@@ -226,18 +202,16 @@ def pythagorean_gap(
     )
 
 
-def dual_metrics(pot: PotentialPair, theta: ParameterPoint):
-    """Hessian metrics g = psi'' at theta and g* = phi'' at the dual point."""
-    _require_chart(theta, pot.primal_chart)
-    g = np.atleast_2d(pot.hess_psi(theta.coords))
+def dual_metrics(family: DistributionFamily | QuadraticPotential, theta: ParameterPoint):
+    """Hessian metrics g = psi'' at natural theta and g* = phi'' at the dual
+    mean point."""
+    _require_chart(theta, NATURAL)
+    g = np.atleast_2d(family.hess_potential(theta.coords))
     if np.any(np.linalg.eigvalsh(g) <= 0.0):
         raise DegenerateMetricError("degenerate primal Hessian")
-    eta, _ = legendre_dual(pot, theta)
-    g_star = np.atleast_2d(pot.hess_phi(eta.coords))
-    return (
-        MetricTensor(pot.primal_chart, theta, g),
-        MetricTensor(pot.dual_chart, eta, g_star),
-    )
+    eta, _ = legendre_dual(family, theta)
+    g_star = np.atleast_2d(family.hess_dual_potential(eta.coords))
+    return MetricTensor(NATURAL, theta, g), MetricTensor(MEAN, eta, g_star)
 
 
 def christoffel_first_kind(

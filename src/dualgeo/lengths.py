@@ -46,7 +46,6 @@ from .distributions import (
 )
 from .errors import NonConvergenceError
 from .geometry import (
-    PotentialPair,
     divergence_hessians,
     fisher_metric,
     geodesic_spray,
@@ -140,20 +139,19 @@ def primal_length(path: ParamPath, family: DistributionFamily) -> float:
     return _arc_length(path, fisher_metric(family, path.batch()).components)
 
 
-def dual_length(path: ParamPath, pot: PotentialPair) -> float:
-    """Arc length of the grad-psi image of a primal-chart path under g*."""
-    if path.chart != pot.primal_chart:
-        raise ValueError(f"dual_length expects a {pot.primal_chart!r}-chart path")
-    image = np.stack([np.atleast_1d(pot.grad_psi(c)) for c in path.samples])
-    dual_path = ParamPath(pot.dual_chart, image, path.ts)
-    return path_length(dual_path, lambda c: pot.hess_phi(c))
+def dual_length(path: ParamPath, family: DistributionFamily) -> float:
+    """Arc length of the grad-psi image of a natural-chart path under g*."""
+    if path.chart != NATURAL:
+        raise ValueError(f"dual_length expects a {NATURAL!r}-chart path")
+    image = np.stack([np.atleast_1d(family.grad_potential(c)) for c in path.samples])
+    return path_length(ParamPath(MEAN, image, path.ts), family.hess_dual_potential)
 
 
-def potential_length(path: ParamPath, pot: PotentialPair) -> float:
-    """Arc length under the primal Hessian metric g = psi''."""
-    if path.chart != pot.primal_chart:
-        raise ValueError(f"potential_length expects a {pot.primal_chart!r}-chart path")
-    return path_length(path, lambda c: pot.hess_psi(c))
+def potential_length(path: ParamPath, family: DistributionFamily) -> float:
+    """Arc length of a natural-chart path under the Hessian metric g = psi''."""
+    if path.chart != NATURAL:
+        raise ValueError(f"potential_length expects a {NATURAL!r}-chart path")
+    return path_length(path, family.hess_potential)
 
 
 def harmonic_length(path: ParamPath, g_field, g_star_field) -> float:

@@ -68,10 +68,7 @@ def to_json(table: ScanTable) -> bytes:
     payload = {
         "meta": _encode_meta(table.meta),
         "columns": list(table.columns),
-        "rows": [
-            [("inf" if v > 0 else "-inf") if math.isinf(v) else v for v in row]
-            for row in table.rows
-        ],
+        "rows": _encode_meta(table.rows),
     }
     return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode("ascii")
 

@@ -91,11 +91,10 @@ def test_criterion_04_dual_affine_core(report):
     }
     round_trip = bregman = product = flat = 0.0
     for fam, thetas in families.values():
-        pot = G.PotentialPair.from_family(fam)
         for theta in thetas:
             eta = fam.grad_potential(theta)
             round_trip = max(round_trip, np.max(np.abs(fam.grad_dual_potential(eta) - theta)))
-            g, g_star = G.dual_metrics(pot, ParameterPoint(NATURAL, theta))
+            g, g_star = G.dual_metrics(fam, ParameterPoint(NATURAL, theta))
             product = max(
                 product,
                 np.max(np.abs(g.components @ g_star.components - np.eye(theta.size))),
@@ -109,9 +108,7 @@ def test_criterion_04_dual_affine_core(report):
             for theta_q in thetas:
                 p = ParameterPoint(NATURAL, theta_p)
                 q = ParameterPoint(NATURAL, theta_q)
-                breg = G.bregman_divergence(
-                    pot, q, ParameterPoint(MEAN, fam.grad_potential(theta_p))
-                )
+                breg = G.bregman_divergence(fam, q, ParameterPoint(MEAN, fam.grad_potential(theta_p)))
                 bregman = max(bregman, abs(breg - fam.kl(p, q)))
     # Pythagorean triples: orthogonal construction and a generic one
     fam = Gaussian1D()

@@ -2,7 +2,6 @@
 import contextlib
 import io
 import json
-import os
 import warnings
 
 import numpy as np
@@ -442,21 +441,24 @@ def fuzz_argv(name):
 
 
 def run_clean(argv):
-    """Exit code and stderr of argv, with a RuntimeWarning raised as an error."""
-    err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+    """Exit code, stderr and table bytes of argv, with a RuntimeWarning raised
+    as an error."""
+    err, out = io.StringIO(), io.TextIOWrapper(io.BytesIO())
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
         warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main(argv + ["--output", os.devnull])
-    return code, err.getvalue()
+        code = cli.main(argv)
+    return code, err.getvalue(), out.buffer.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(FUZZ_FLAGS))
 def test_exit_code_contract_over_wide_argv(name):
     @given(fuzz_argv(name))
     def check(argv):
-        code, err = run_clean(argv)
+        code, err, data = run_clean(argv)
         assert code in (0, 2, 3), argv
         assert code == 0 or err.startswith("error: "), argv
+        # no silent inf: a table on exit 0 holds finite numbers only
+        assert code != 0 or np.isfinite(tables.from_csv(data).rows).all(), argv
 
     check()
 
@@ -474,11 +476,11 @@ def test_exit_code_contract_over_wide_argv(name):
 def test_non_finite_numbers_exit_2_when_parsed(argv, field):
     # each once reached the numerics: a ZeroDivisionError traceback from the
     # membrane's convergence orders, or RuntimeWarnings before exit 2
-    assert run_clean(argv) == (2, f"error: {field}: must be finite\n")
+    assert run_clean(argv) == (2, f"error: {field}: must be finite\n", b"")
 
 
 def test_legendre_theta_validated_with_the_family():
-    code, err = run_clean(["legendre", "--family", "gaussian", "--theta", "1,0"])
+    code, err, _ = run_clean(["legendre", "--family", "gaussian", "--theta", "1,0"])
     assert code == 2 and err.startswith("error: parameters: second natural parameter must be negative")
 
 
@@ -496,7 +498,7 @@ def test_raw_gaussian_fisher_metric_is_diagonal_at_any_mean(pt, g11, tmp_path):
 
 def test_quadratic_legendre_overflow_exits_3():
     # |theta|^2 = 1e600: no representable dual potential
-    code, err = run_clean(["legendre", "--family", "quadratic", "--theta", "1e300"])
+    code, err, _ = run_clean(["legendre", "--family", "quadratic", "--theta", "1e300"])
     assert code == 3 and err.startswith("error: numerics: dual potential overflows")
 
 
@@ -521,21 +523,65 @@ def test_zero_load_membrane_has_no_convergence_order(tmp_path):
         ["divergence", "--family", "gaussian", "--chart", "raw", "--p", "800,1e-16", "--q", "1e-310,0.5"],
         # the same loss at |mu| / sigma = 1.3e10 in the dual length's phi''
         ["lengths", "--family", "gaussian", "--chart", "raw", "--start=-1.77e10,1.33", "--end=-1.77e10,1.33"],
-        # p(x) / q(x) = 0.25 / 1e-310 overflows in the discrete KL, whose
-        # value, 178 nats, is finite
-        ["divergence", "--family", "bernoulli", "--p", "0.25", "--q", "0.25", "--r", "1e-310"],
-        # the cap's colatitude grid overflows in linspace
-        ["berry", "--theta-c", "1.7976931348623157e308", "--segments", "12", "--surface-nu", "3", "--surface-nv", "2"],
     ],
-    ids=["divergence-gaussian-mean", "lengths-gaussian-mean", "divergence-subnormal-q", "berry-max-colatitude"],
+    ids=["divergence-gaussian-mean", "lengths-gaussian-mean"],
 )
 @pytest.mark.xfail(strict=True, raises=RuntimeWarning)
 def test_known_contract_breaches(argv):
-    code, err = run_clean(argv)
+    code, err, _ = run_clean(argv)
     assert code in (0, 2, 3) and (code == 0 or err.startswith("error: "))
+
+
+CAT_NATURAL = ["divergence", "--family", "categorical", "--chart", "natural"]
+
+
+# Measured |kl_pq - bregman|: at most 5.6e-17 absolute (p = q, where the
+# Bregman column rounds) and 1.5e-15 relative (k = 2); the bound allows four
+# times each.
+@pytest.mark.parametrize(
+    "argv, kl_qp",
+    [
+        # q(x) = 1e-310: p(x) / q(x) overflowed in the triangle gap's
+        # D(p || r), whose value, 178 nats, is finite
+        (["divergence", "--family", "bernoulli", "--p", "0.25", "--q", "0.25", "--r", "1e-310"], 0.0),
+        # softmax probabilities e^-800 round to 0: both KLs were inf
+        (CAT_NATURAL + ["--p=800,0", "--q=-800,0"], 800.0 - np.log(2.0)),
+        # found by a wider run of the fuzz test: kl_qp was inf, where
+        # log-odds 2.4e16 and 2.4e166 leave one probability of p at 0
+        (CAT_NATURAL + ["--k", "2", "--p=2.40220121951296e+16", "--q=3.8714396032231395"], None),
+        (CAT_NATURAL + ["--k", "3", "--p=2.3766965287163454e+166,-2.2274389304087943", "--q=2.72859119321018,-0"], None),
+    ],
+    ids=["bernoulli-subnormal-r", "categorical-800", "categorical-k2", "categorical-k3"],
+)
+def test_discrete_kl_finite_where_a_probability_underflows(argv, kl_qp):
+    code, err, data = run_clean(argv)
+    assert code == 0 and err == ""
+    table = tables.from_csv(data)
+    row = dict(zip(table.columns, table.rows[0]))
+    assert np.isfinite(table.rows).all()
+    assert abs(row["kl_pq"] - row["bregman"]) <= 2.5e-16 + 6e-15 * abs(row["bregman"])
+    if kl_qp is not None:
+        assert abs(row["kl_qp"] - kl_qp) <= 2 * np.spacing(kl_qp)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # the cap's colatitude grid once overflowed in linspace
+        (["berry", "--theta-c", "1.7976931348623157e308", "--segments", "12", "--surface-nu", "3", "--surface-nv", "2"], 2),
+        (["berry", "--theta-c=-0.1"], 2),
+        (["berry", "--theta-c", "180.0001", "--deg"], 2),
+        (["berry", "--theta-c", "0", "--segments", "8", "--surface-nu", "2", "--surface-nv", "2"], 0),
+        (["berry", "--theta-c", "180", "--deg", "--segments", "8", "--surface-nu", "2", "--surface-nv", "2"], 0),
+    ],
+)
+def test_colatitude_bounded_to_0_pi(argv, code):
+    got, err, _ = run_clean(argv)
+    assert got == code
+    assert code == 0 or err.startswith("error: theta-c: must lie in [0.0, 3.141592653589793]")
 
 
 def test_membrane_convergence_order_overflow_exits_3():
     # the solve is finite, but r^4 of the manufactured quartic's reference overflows
-    code, err = run_clean(["membrane", "--T", "3.5e77", "--p", "0", "--R", "3.5e77", "--nodes", "31"])
+    code, err, _ = run_clean(["membrane", "--T", "3.5e77", "--p", "0", "--R", "3.5e77", "--nodes", "31"])
     assert code == 3 and err.startswith("error: numerics: membrane convergence order overflowed")

@@ -112,6 +112,22 @@ def test_categorical_kl_matches_direct_sum():
     assert abs(fam.kl(p, q) - oracle) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "fam, theta",
+    [(Bernoulli(), [[-3.0], [0.4]]), (Categorical(4), [[0.3, -2.0, 1.0], [5.0, 0.0, -5.0]])],
+    ids=["bernoulli", "categorical"],
+)
+def test_log_probs_agree_across_charts(fam, theta):
+    # log-sigmoid and log-softmax in the natural chart, the log of probs in the mean chart
+    nat = ParameterPoint(NATURAL, np.array(theta))
+    lp = fam.log_probs(nat)
+    assert lp.shape == (2, len(fam.outcomes))
+    # measured 3.4e-14: the mean chart's last probability, 1 - the others' sum,
+    # carries eps / p_k
+    assert np.max(np.abs(lp - fam.log_probs(fam.convert(nat, MEAN)))) < 1e-13
+    assert np.max(np.abs(np.exp(lp) - fam.probs(nat))) < 1e-15
+
+
 def test_categorical_needs_two_outcomes():
     with pytest.raises(InvalidParameterError):
         Categorical(1)

@@ -176,26 +176,23 @@ def test_metric_tensor_symmetry_tolerance():
 
 def test_legendre_dual_gaussian():
     fam = Gaussian1D()
-    pot = G.PotentialPair.from_family(fam)
     theta = ParameterPoint(NATURAL, np.array([1.0, -0.5]))
-    eta, phi = G.legendre_dual(pot, theta)
+    eta, phi = G.legendre_dual(fam, theta)
     assert eta.chart == MEAN
     assert np.allclose(eta.coords, [1.0, 2.0])
     assert abs(phi - fam.dual_potential(eta.coords)) < 1e-12
 
 
 def test_legendre_quadratic_self_dual():
-    pot = G.PotentialPair.quadratic(dim=3)
-    theta = ParameterPoint(G.PRIMAL, np.array([1.0, -2.0, 0.5]))
-    eta, phi = G.legendre_dual(pot, theta)
+    theta = ParameterPoint(NATURAL, np.array([1.0, -2.0, 0.5]))
+    eta, phi = G.legendre_dual(G.QuadraticPotential(3), theta)
     assert np.allclose(eta.coords, theta.coords)
     assert abs(phi - 0.5 * np.dot(theta.coords, theta.coords)) < 1e-15
 
 
 def test_legendre_chart_mismatch():
-    pot = G.PotentialPair.from_family(Bernoulli())
     with pytest.raises(G.ChartError):
-        G.legendre_dual(pot, point(MEAN, 0.5))
+        G.legendre_dual(Bernoulli(), point(MEAN, 0.5))
 
 
 # -- Bregman / KL -------------------------------------------------------
@@ -203,23 +200,21 @@ def test_legendre_chart_mismatch():
 
 def test_bregman_equals_kl():
     fam = Gaussian1D()
-    pot = G.PotentialPair.from_family(fam)
     p = point(RAW, 0.0, 1.0)
     q = point(RAW, 0.8, 1.5)
     theta_q = fam.convert(q, NATURAL)
     eta_p = fam.convert(p, MEAN)
-    breg = G.bregman_divergence(pot, theta_q, eta_p)
+    breg = G.bregman_divergence(fam, theta_q, eta_p)
     assert abs(breg - fam.kl(p, q)) < 1e-12
 
 
 def test_bregman_zero_iff_dual_pair():
     fam = Bernoulli()
-    pot = G.PotentialPair.from_family(fam)
     theta = ParameterPoint(NATURAL, np.array([0.9]))
     eta = ParameterPoint(MEAN, fam.grad_potential(theta.coords))
-    assert abs(G.bregman_divergence(pot, theta, eta)) < 1e-14
+    assert abs(G.bregman_divergence(fam, theta, eta)) < 1e-14
     other = ParameterPoint(MEAN, np.array([0.2]))
-    assert G.bregman_divergence(pot, theta, other) > 1e-3
+    assert G.bregman_divergence(fam, theta, other) > 1e-3
 
 
 def test_pythagorean_gap_orthogonal_triple_gaussian():
@@ -248,8 +243,7 @@ def test_dual_metrics_product_identity():
         (Categorical(4), np.array([0.3, -0.2, 0.5])),
         (Gaussian1D(), np.array([0.5, -0.8])),
     ):
-        pot = G.PotentialPair.from_family(fam)
-        g, g_star = G.dual_metrics(pot, ParameterPoint(NATURAL, theta))
+        g, g_star = G.dual_metrics(fam, ParameterPoint(NATURAL, theta))
         prod = g.components @ g_star.components
         assert np.max(np.abs(prod - np.eye(prod.shape[0]))) < 1e-9
 
@@ -823,7 +817,6 @@ def test_gaussian_region_corners_compute_without_floating_point_errors(chart):
     # at and near the corners of the region every closed form is finite or
     # reports a metric that is not positive definite, never an overflow
     fam = Gaussian1D()
-    pot = G.PotentialPair.from_family(fam)
     unit = fam.convert(point(RAW, 0.0, 1.0), chart)
     for sigma in (1.0 / SCALE_MAX, 1e-10, 1.0, 1e10, SCALE_MAX):
         for z in (0.0, 1.0, -1e10, SCALE_MAX, -SCALE_MAX):
@@ -835,7 +828,7 @@ def test_gaussian_region_corners_compute_without_floating_point_errors(chart):
                     continue  # mu^2 + sigma^2 rounds sigma^2 away in the mean chart
                 fam.kl(pt, unit), fam.kl(unit, pt)
                 for fn in (lambda: G.fisher_metric(fam, pt),
-                           lambda: G.legendre_dual(pot, fam.convert(pt, NATURAL))):
+                           lambda: G.legendre_dual(fam, fam.convert(pt, NATURAL))):
                     try:
                         fn()
                     except G.DegenerateMetricError:

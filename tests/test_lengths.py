@@ -131,19 +131,17 @@ def test_primal_length_bernoulli_closed_form():
 def test_dual_length_equals_primal_of_image():
     # the grad-psi image under g* has the same length as the theta path under g
     fam = Bernoulli()
-    pot = G.PotentialPair.from_family(fam)
     path = L.ParamPath.straight(NATURAL, [-1.0], [1.2], 129)
-    dual = L.dual_length(path, pot)
-    image = np.stack([pot.grad_psi(c) for c in path.samples])
+    dual = L.dual_length(path, fam)
+    image = np.stack([fam.grad_potential(c) for c in path.samples])
     primal_of_image = L.primal_length(L.ParamPath(MEAN, image, path.ts), fam)
     assert abs(dual - primal_of_image) < 1e-10
 
 
 def test_potential_length_matches_primal_in_natural_chart():
     fam = Gaussian1D()
-    pot = G.PotentialPair.from_family(fam)
     path = L.ParamPath.straight(NATURAL, [0.0, -0.5], [0.5, -0.8], 65)
-    assert abs(L.potential_length(path, pot) - L.primal_length(path, fam)) < 1e-8
+    assert abs(L.potential_length(path, fam) - L.primal_length(path, fam)) < 1e-8
 
 
 def test_divergence_length_is_sqrt2_primal():
@@ -210,7 +208,6 @@ def test_length_report_matches_per_point_functionals(fam, chart, a, b):
     # the one-pass report against each functional built from per-point fields
     path = L.ParamPath.straight(chart, a, b, 33)
     rep = L.length_report(path, fam)
-    pot = G.PotentialPair.from_family(fam)
     theta = np.stack([fam.convert(point(chart, *c), NATURAL).coords for c in path.samples])
 
     def g_star_field(coords):
@@ -218,7 +215,7 @@ def test_length_report_matches_per_point_functionals(fam, chart, a, b):
 
     oracles = {
         "primal": L.path_length(path, G.metric_field(fam, chart)),
-        "dual": L.dual_length(L.ParamPath(NATURAL, theta, path.ts), pot),
+        "dual": L.dual_length(L.ParamPath(NATURAL, theta, path.ts), fam),
         "harmonic": L.harmonic_length(path, G.metric_field(fam, chart), g_star_field),
         "divergence_based": L.path_length(path, lambda c: sum(G.divergence_hessians(fam, ParameterPoint(chart, c)))),
     }
