@@ -16,10 +16,6 @@ from itertools import product
 
 import numpy as np
 
-# Unused: bench/tracing.py wraps this name and reports its metrics until the
-# benchmark drops that target (ROADMAP item 6).
-from scipy.optimize import minimize  # noqa: F401
-
 from .quantum import PAULI_X, PAULI_Z, BipartiteState, DimensionMismatchError
 from .tables import ScanTable
 
@@ -29,6 +25,16 @@ BOB = "bob"
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 _REGIME_TOL = 1e-9
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported when called.  Nothing calls it:
+    bench/tracing.py wraps this name and reports its metrics until the
+    benchmark drops that target (ROADMAP item 6).  A module-level import
+    would load scipy.optimize into every process that imports dualgeo."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 the metric-compression string model.
 
 The membrane is solved in axisymmetric radial form with a conservative
-second-order finite-difference scheme; the string model exposes both the
-exact arc length, an incomplete elliptic integral, and the sine
-approximation, with the discrepancy reported rather than hidden.
+second-order finite-difference scheme, whose tridiagonal system is a flux
+balance that two cumulative sums solve without a matrix; the string model
+exposes both the exact arc length, an incomplete elliptic integral, and the
+sine approximation, with the discrepancy reported rather than hidden.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import ellipeinc
 
 from .errors import NonConvergenceError
@@ -67,15 +67,15 @@ def membrane_solve(prob: MembraneProblem, pressure_profile=None) -> DeflectionFi
     """Finite-difference solve of T (w'' + w'/r) = p with w'(0) = 0, w(R) = 0.
 
     A radially varying load may be supplied as `pressure_profile(r)`; by
-    default the uniform load of the problem is used.  A stencil, load or
-    deflection that overflows, or a grid spacing whose square underflows to
-    0, is a NonConvergenceError: the problem is valid, but its discrete
-    system is not representable in double precision.
+    default the uniform load of the problem is used.  A load, flux or
+    deflection that overflows, or a grid spacing whose square underflows
+    below the normal doubles, is a NonConvergenceError: the problem is
+    valid, but its discrete system is not representable in double precision.
     """
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             r, w = _membrane_deflections(prob, pressure_profile)
-    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise NonConvergenceError(f"membrane solve overflowed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise NonConvergenceError("membrane solve overflowed: deflections not finite")
@@ -84,32 +84,34 @@ def membrane_solve(prob: MembraneProblem, pressure_profile=None) -> DeflectionFi
 
 def _membrane_deflections(prob, pressure_profile):
     """The radial nodes r_0 .. r_n and the deflections w_0 .. w_{n-1} at the
-    unclamped ones."""
+    unclamped ones.
+
+    Row i of the stencil says that the flux F_i = r_{i+1/2} (w_{i+1} - w_i)
+    grows by r_i h^2 f_i, f = load / T, and row 0, the even extension of w
+    at r = 0, gives F_0 = h^3 f_0 / 8.  So the steps are
+    w_{i+1} - w_i = h^2 cumsum(c)_i / (i + 1/2), with
+    c = (f_0 / 8, 1 f_1, .., (n-1) f_{n-1}), and w_i sums the steps from the
+    clamped edge, where w_n = 0 (LeVeque, Finite Difference Methods for
+    Ordinary and Partial Differential Equations, SIAM 2007, ch. 2).
+    """
     n = prob.radial_nodes
     h = prob.radius / n
+    h2 = h * h
+    if h2 < np.finfo(float).tiny:
+        # the stencil's 1 / h^2 overflows, and a subnormal h^2 has lost its digits
+        raise OverflowError("grid spacing squared underflows")
     r = np.linspace(0.0, prob.radius, n + 1)
     load = (
-        np.full(n + 1, prob.pressure)
+        np.full(n, prob.pressure)
         if pressure_profile is None
-        else np.array([pressure_profile(ri) for ri in r], dtype=float)
+        else np.array([pressure_profile(ri) for ri in r[:n]], dtype=float)
     )
-    # unknowns w_0 .. w_{n-1}; w_n = 0 (clamped)
-    ab = np.zeros((3, n))
-    rhs = np.empty(n)
-    # r = 0: regularity, Laplacian -> 2 w''(0), even extension of w
-    ab[1, 0] = -4.0 / h**2
-    ab[0, 1] = 4.0 / h**2
-    rhs[0] = load[0] / prob.tension
-    # rows i = 1 .. n-1; w_n = 0 contributes nothing to the right-hand side
-    ri = r[1:n]
-    rp = ri + 0.5 * h
-    rm = ri - 0.5 * h
-    scale = ri * h**2
-    ab[2, : n - 1] = rm / scale  # sub-diagonal (w_{i-1})
-    ab[1, 1:] = -(rp + rm) / scale
-    ab[0, 2:] = rp[:-1] / scale[:-1]  # super-diagonal (w_{i+1}), absent in row n-1
-    rhs[1:] = load[1:n] / prob.tension
-    return r, solve_banded((1, 1), ab, rhs)
+    f = load / prob.tension
+    i = np.arange(n)
+    c = i * f
+    c[0] = f[0] / 8.0
+    steps = np.cumsum(c) / (i + 0.5) * h2
+    return r, -np.cumsum(steps[::-1])[::-1]
 
 
 def membrane_max_error(prob: MembraneProblem) -> float:

@@ -392,6 +392,14 @@ class Categorical(_DiscreteFamily):
                 if not _all((full != 0.0) & (full != 1.0)):
                     raise BoundaryParameterError("probability on the boundary")
                 raise InvalidParameterError("probabilities must lie in (0, 1)")
+        else:
+            # softmax and logsumexp subtract the largest log-odds from each:
+            # max - min <= the largest double, tested without the difference
+            hi = pt.coords.max(axis=-1, initial=0.0)
+            if not _all(hi - np.finfo(float).max <= pt.coords.min(axis=-1, initial=0.0)):
+                raise InvalidParameterError(
+                    "log-odds spread, the last outcome's 0 included, must be finite"
+                )
 
     def probs(self, pt: ParameterPoint) -> np.ndarray:
         if pt.chart == MEAN:

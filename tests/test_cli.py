@@ -2,7 +2,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ellipeinc
 
+import dualgeo
 from dualgeo import cli, continuum, tables
 from dualgeo.errors import NonConvergenceError
 
@@ -249,6 +254,10 @@ def test_far_negative_logit_divergence_is_clean(tmp_path):
         ["membrane", "--T", "1e-320", "--p", "1", "--R", "1", "--nodes", "16"],
         # the discrete deflections, about p R^2 / (4 T) = 2.5e327, overflow
         ["membrane", "--T", "1", "--p", "1e308", "--R", "1e10"],
+        # the grid spacing squared, (1e-200 / 16)^2, underflows to 0
+        ["membrane", "--T", "1", "--p", "1", "--R", "1e-200", "--nodes", "16"],
+        # ... or to a subnormal double, 3.9e-311, short of its digits
+        ["membrane", "--T", "1", "--p", "1", "--R", "1e-154", "--nodes", "16"],
     ],
 )
 def test_unrepresentable_membrane_exits_3(argv, tmp_path, capsys):
@@ -579,6 +588,27 @@ def test_colatitude_bounded_to_0_pi(argv, code):
     got, err, _ = run_clean(argv)
     assert got == code
     assert code == 0 or err.startswith("error: theta-c: must lie in [0.0, 3.141592653589793]")
+
+
+def test_categorical_log_odds_spread_beyond_largest_double_exits_2():
+    # the spread 2e308, the last outcome's 0 included, overflowed in softmax
+    # and logsumexp, and kl_pq read inf with exit 0
+    code, err, data = run_clean(CAT_NATURAL + ["--k", "3", "--p=0,0", "--q=1e308,-1e308"])
+    assert (code, data) == (2, b"")
+    assert err.startswith("error: parameters: log-odds spread")
+
+
+def test_import_loads_neither_scipy_optimize_nor_scipy_linalg():
+    # a fresh interpreter: the suite itself has loaded both
+    code = (
+        "import sys, dualgeo.cli; "
+        "print([m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg'))]); "
+        "print(callable(dualgeo.chsh.minimize))"
+    )
+    src = str(Path(dualgeo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_membrane_convergence_order_overflow_exits_3():
