@@ -131,50 +131,42 @@ def polar_cap(theta_c: float, nu: int = 128, nv: int = 256, theta_start: float =
     return SurfaceMesh(grid)
 
 
+def _overlap(a, b) -> np.ndarray:
+    """<a|b> over the last axis, for every pair in a batch of states."""
+    return np.sum(a.conj() * b, axis=-1)
+
+
 def berry_connection(family: StateFamily, params, step: float = _H_CONN) -> np.ndarray:
-    """A_mu = i <n | d_mu n> by central differences; real up to a tiny residue."""
+    """A_mu = i <n | d_mu n> by central differences, from one states call on
+    the centre and params +- h e_mu; real up to a tiny residue."""
     params = np.asarray(params, dtype=float)
-    n0 = family.state(params)
-    out = np.empty(family.dim_param)
-    for mu in range(family.dim_param):
-        dp = np.zeros_like(params)
-        dp[mu] = step
-        n_plus = family.state(params + dp)
-        n_minus = family.state(params - dp)
-        if abs(np.vdot(n0, n_plus)) < 0.5 or abs(np.vdot(n0, n_minus)) < 0.5:
-            raise DegenerateStateError("state varies too fast across the stencil")
-        val = 1j * np.vdot(n0, (n_plus - n_minus) / (2.0 * step))
-        out[mu] = val.real
-    return out
+    m = params.size  # states checks it against the family's dim_param
+    offsets = step * np.eye(m)
+    n = family.states(params + np.concatenate([np.zeros((1, m)), offsets, -offsets]))
+    n0, n_plus, n_minus = n[0], n[1 : m + 1], n[m + 1 :]
+    if np.any(np.abs(_overlap(n0, n_plus)) < 0.5) or np.any(np.abs(_overlap(n0, n_minus)) < 0.5):
+        raise DegenerateStateError("state varies too fast across the stencil")
+    return (1j * _overlap(n0, (n_plus - n_minus) / (2.0 * step))).real
 
 
 def berry_curvature(family: StateFamily, params, step: float = _H_CURV) -> np.ndarray:
-    """F_{mu nu} from the gauge-invariant plaquette (four-overlap) phase."""
+    """F_{mu nu} from the gauge-invariant plaquette (four-overlap) phase, from
+    one states call on the four corners of every plaquette mu < nu."""
     params = np.asarray(params, dtype=float)
-    m = family.dim_param
+    m = params.size  # states checks it against the family's dim_param
+    mu, nu = np.triu_indices(m, 1)
+    offsets = step * np.eye(m)
+    du, dv = offsets[mu], offsets[nu]
+    half = 0.5 * (du + dv)
+    corners = [params - half, params + du - half, params + du + dv - half, params + dv - half]
+    states = family.states(np.stack(corners, axis=1))
+    # overlaps around each plaquette: corner k -> corner k + 1 (mod 4)
+    ov = _overlap(states, states[:, [1, 2, 3, 0]])
+    if np.any(np.abs(ov) < 1e-12):
+        raise DegenerateStateError("vanishing overlap on plaquette")
     f = np.zeros((m, m))
-    for mu in range(m):
-        for nu in range(mu + 1, m):
-            du = np.zeros(m)
-            dv = np.zeros(m)
-            du[mu] = step
-            dv[nu] = step
-            half = 0.5 * (du + dv)
-            corners = [
-                params - half,
-                params + du - half,
-                params + du + dv - half,
-                params + dv - half,
-            ]
-            states = [family.state(c) for c in corners]
-            prod = 1.0 + 0.0j
-            for k in range(4):
-                ov = np.vdot(states[k], states[(k + 1) % 4])
-                if abs(ov) < 1e-12:
-                    raise DegenerateStateError("vanishing overlap on plaquette")
-                prod *= ov
-            f[mu, nu] = -np.angle(prod) / step**2
-            f[nu, mu] = -f[mu, nu]
+    f[mu, nu] = -np.angle(np.prod(ov, axis=-1)) / step**2
+    f[nu, mu] = -f[mu, nu]
     return f
 
 
@@ -186,7 +178,7 @@ def berry_phase_loop(family: StateFamily, loop: LoopPath, unwrapped: bool = Fals
     the principal value in (-pi, pi] is returned.
     """
     states = family.states(loop.points)
-    ov = np.sum(states[:-1].conj() * states[1:], axis=-1)
+    ov = _overlap(states[:-1], states[1:])
     if np.any(np.abs(ov) < 1e-12):
         raise DegenerateStateError("vanishing overlap along loop")
     total = -float(np.sum(np.angle(ov)))
@@ -199,24 +191,19 @@ def winding_count(family: StateFamily, loop: LoopPath) -> int:
     return int(np.round((total - principal_phase(total)) / (2.0 * np.pi)))
 
 
-def berry_phase_surface(family: StateFamily, mesh: SurfaceMesh, unwrapped: bool = True) -> float:
-    """Curvature flux through the mesh as a sum of plaquette phases."""
+def berry_phase_surface(family: StateFamily, mesh: SurfaceMesh) -> float:
+    """Curvature flux through the mesh as a sum of plaquette phases, unwrapped."""
     states = family.states(mesh.grid)
-
-    def ov(a, b):
-        return np.sum(a.conj() * b, axis=-1)
-
     # plaquette corners: (i,j) -> (i+1,j) -> (i+1,j+1) -> (i,j+1) -> (i,j)
     prod = (
-        ov(states[:-1, :-1], states[1:, :-1])
-        * ov(states[1:, :-1], states[1:, 1:])
-        * ov(states[1:, 1:], states[:-1, 1:])
-        * ov(states[:-1, 1:], states[:-1, :-1])
+        _overlap(states[:-1, :-1], states[1:, :-1])
+        * _overlap(states[1:, :-1], states[1:, 1:])
+        * _overlap(states[1:, 1:], states[:-1, 1:])
+        * _overlap(states[:-1, 1:], states[:-1, :-1])
     )
     if np.any(np.abs(prod) < 1e-24):
         raise DegenerateStateError("vanishing overlap on mesh cell")
-    total = -float(np.sum(np.angle(prod)))
-    return total if unwrapped else principal_phase(total)
+    return -float(np.sum(np.angle(prod)))
 
 
 def principal_phase(gamma: float) -> float:

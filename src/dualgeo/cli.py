@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Every computation is a subcommand emitting a ScanTable as CSV or JSON with a
-provenance block.  Angles are radians unless --deg is given.  Exit codes:
-0 success, 2 validation error, 3 numerical non-convergence.
+provenance block.  Angles are radians unless --deg is given (berry, chsh, decompose).
+Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -285,98 +285,76 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="dualgeo", description="Dual-affine information geometry toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def command(name, func, families=(), chart=False, angles=False):
+        """A subparser with the shared flags that its subcommand reads."""
+        p = sub.add_parser(name)
+        if families:
+            p.add_argument("--family", required=True, choices=families)
+            p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
+        if chart:
+            p.add_argument("--chart", default=MEAN, choices=(NATURAL, MEAN, RAW))
+        if angles:
+            p.add_argument("--deg", action="store_true", help="interpret angles as degrees")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None)
-        p.add_argument("--deg", action="store_true", help="interpret angles as degrees")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("fisher")
-    p.add_argument("--family", required=True, choices=("gaussian", "bernoulli", "categorical"))
-    p.add_argument("--chart", default=MEAN, choices=(NATURAL, MEAN, RAW))
+    families = ("gaussian", "bernoulli", "categorical")
+
+    p = command("fisher", _cmd_fisher, families, chart=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
-    common(p)
-    p.set_defaults(func=_cmd_fisher)
 
-    p = sub.add_parser("legendre")
-    p.add_argument("--family", required=True, choices=("gaussian", "bernoulli", "categorical", "quadratic"))
+    p = command("legendre", _cmd_legendre, families + ("quadratic",))
     p.add_argument("--theta", required=True)
-    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
-    common(p)
-    p.set_defaults(func=_cmd_legendre)
 
-    p = sub.add_parser("divergence")
-    p.add_argument("--family", required=True, choices=("gaussian", "bernoulli", "categorical"))
-    p.add_argument("--chart", default=MEAN, choices=(NATURAL, MEAN, RAW))
+    p = command("divergence", _cmd_divergence, families, chart=True)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--r", default=None)
-    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
-    common(p)
-    p.set_defaults(func=_cmd_divergence)
 
-    p = sub.add_parser("lengths")
-    p.add_argument("--family", required=True, choices=("gaussian", "bernoulli", "categorical"))
-    p.add_argument("--chart", default=MEAN, choices=(NATURAL, MEAN, RAW))
+    p = command("lengths", _cmd_lengths, families, chart=True)
     p.add_argument("--start", required=True)
     p.add_argument("--end", required=True)
     p.add_argument(
         "--count", type=int, default=129,
         help=f"path samples, 2 to {MAX_COUNT}; count * dim^2 at most {MAX_LENGTH_GRID} (dim = k - 1 for categorical)",
     )
-    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
-    common(p)
-    p.set_defaults(func=_cmd_lengths)
 
-    p = sub.add_parser("geodesic")
-    p.add_argument("--family", required=True, choices=("gaussian", "bernoulli", "categorical"))
-    p.add_argument("--chart", default=MEAN, choices=(NATURAL, MEAN, RAW))
+    p = command("geodesic", _cmd_geodesic, families, chart=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--alpha", type=int, default=0, choices=(-1, 0, 1))
     p.add_argument("--count", type=int, default=65, help=f"path samples, 2 to {MAX_COUNT}")
-    p.add_argument("--k", type=int, default=3, help=f"categorical outcomes, 2 to {MAX_K}")
-    common(p)
-    p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("berry")
+    p = command("berry", _cmd_berry, angles=True)
     p.add_argument("--family", "--family-id", dest="family_id", default="spin-half")
     p.add_argument("--theta-c", dest="theta_c", type=float, required=True)
     p.add_argument("--segments", type=int, default=2000, help=f"loop segments, 8 to {MAX_SEGMENTS}")
     mesh_help = f"(surface-nu + 1) * (surface-nv + 1) at most {MAX_MESH_POINTS}"
     p.add_argument("--surface-nu", dest="surface_nu", type=int, default=128, help=f"theta cells; {mesh_help}")
     p.add_argument("--surface-nv", dest="surface_nv", type=int, default=256, help=f"phi cells; {mesh_help}")
-    common(p)
-    p.set_defaults(func=_cmd_berry)
 
-    p = sub.add_parser("chsh")
+    p = command("chsh", _cmd_chsh, angles=True)
     p.add_argument("--state", default="singlet", choices=("singlet", "product", "partial"))
     p.add_argument("--weight", type=float, default=None)
     p.add_argument("--settings", default=None)
     p.add_argument("--scan", type=int, default=None, help=f"grid angles per setting, 8 to {MAX_SCAN}")
-    common(p)
-    p.set_defaults(func=_cmd_chsh)
 
-    p = sub.add_parser("decompose")
+    p = command("decompose", _cmd_decompose, angles=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--n", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("membrane")
+    p = command("membrane", _cmd_membrane)
     p.add_argument("--tension", "--T", dest="tension", type=float, required=True)
     p.add_argument("--pressure", "--p", dest="pressure", type=float, required=True)
     p.add_argument("--radius", "--R", dest="radius", type=float, required=True)
     p.add_argument("--nodes", type=int, default=256, help=f"radial nodes, 16 to {MAX_NODES}")
-    common(p)
-    p.set_defaults(func=_cmd_membrane)
 
-    p = sub.add_parser("string")
+    p = command("string", _cmd_string)
     p.add_argument("--amplitude", "--A", dest="amplitude", type=float, required=True)
     p.add_argument("--levels", "--fs", dest="levels", required=True, help="energy levels, comma-separated; their sum is f_s")
     p.add_argument("--x", type=float, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_string)
 
     return parser
 

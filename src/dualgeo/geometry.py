@@ -205,11 +205,8 @@ def pythagorean_gap(
 def dual_metrics(family: DistributionFamily | QuadraticPotential, theta: ParameterPoint):
     """Hessian metrics g = psi'' at natural theta and g* = phi'' at the dual
     mean point."""
-    _require_chart(theta, NATURAL)
-    g = np.atleast_2d(family.hess_potential(theta.coords))
-    if np.any(np.linalg.eigvalsh(g) <= 0.0):
-        raise DegenerateMetricError("degenerate primal Hessian")
     eta, _ = legendre_dual(family, theta)
+    g = np.atleast_2d(family.hess_potential(theta.coords))
     g_star = np.atleast_2d(family.hess_dual_potential(eta.coords))
     return MetricTensor(NATURAL, theta, g), MetricTensor(MEAN, eta, g_star)
 

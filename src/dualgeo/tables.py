@@ -9,6 +9,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ScanTable:
@@ -21,19 +23,15 @@ class ScanTable:
         object.__setattr__(self, "columns", cols)
         if len(set(cols)) != len(cols):
             raise ValueError("column names must be unique")
-        rows = [[float(v) for v in row] for row in self.rows]
-        for row in rows:
-            if len(row) != len(cols):
-                raise ValueError("every row must have every column")
-            for v in row:
-                if math.isnan(v):
-                    raise ValueError("NaN values are not representable")
-        object.__setattr__(self, "rows", rows)
+        rows = np.asarray(self.rows, dtype=float)
+        if len(rows) and rows.shape != (len(rows), len(cols)):
+            raise ValueError("every row must have every column")
+        if np.isnan(rows).any():
+            raise ValueError("NaN values are not representable")
+        object.__setattr__(self, "rows", rows.tolist())
 
 
 def format_value(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
     return format(v, ".17g")
 
 

@@ -82,6 +82,7 @@ def test_json_output_carries_provenance(tmp_path):
     assert "seed" not in meta and "seed" not in meta["parameters"]
     assert meta["parameters"]["point"] == "0.3"
     assert meta["parameters"]["family"] == "bernoulli"
+    assert "deg" not in meta["parameters"]  # fisher reads no angle
 
 
 def test_fisher_value(tmp_path):
@@ -140,9 +141,11 @@ def test_decompose_conservation(tmp_path):
 
 
 def test_unknown_flag_exits_2(capsys, tmp_path):
-    assert cli.main(["fisher", "--family", "bernoulli", "--point", "0.3", "--bogus"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    # --deg exists only where angles are read: berry, chsh and decompose
+    for flag in ("--bogus", "--deg"):
+        assert cli.main(["fisher", "--family", "bernoulli", "--point", "0.3", flag]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: args: unrecognized arguments: {flag}\n"
 
 
 def test_bad_value_exits_2(capsys):
