@@ -66,8 +66,9 @@ def membrane_closed_form(prob: MembraneProblem, r):
 def membrane_solve(prob: MembraneProblem, pressure_profile=None) -> DeflectionField:
     """Finite-difference solve of T (w'' + w'/r) = p with w'(0) = 0, w(R) = 0.
 
-    A radially varying load may be supplied as `pressure_profile(r)`; by
-    default the uniform load of the problem is used.  A load, flux or
+    A radially varying load may be supplied as `pressure_profile(r)`, called
+    once on the array of unclamped radii (a constant result is broadcast);
+    by default the uniform load of the problem is used.  A load, flux or
     deflection that overflows, or a grid spacing whose square underflows
     below the normal doubles, is a NonConvergenceError: the problem is
     valid, but its discrete system is not representable in double precision.
@@ -101,12 +102,8 @@ def _membrane_deflections(prob, pressure_profile):
         # the stencil's 1 / h^2 overflows, and a subnormal h^2 has lost its digits
         raise OverflowError("grid spacing squared underflows")
     r = np.linspace(0.0, prob.radius, n + 1)
-    load = (
-        np.full(n, prob.pressure)
-        if pressure_profile is None
-        else np.array([pressure_profile(ri) for ri in r[:n]], dtype=float)
-    )
-    f = load / prob.tension
+    load = prob.pressure if pressure_profile is None else pressure_profile(r[:n])
+    f = np.broadcast_to(np.asarray(load, dtype=float), n) / prob.tension
     i = np.arange(n)
     c = i * f
     c[0] = f[0] / 8.0
@@ -142,7 +139,7 @@ def membrane_convergence_order(prob: MembraneProblem, nodes=(64, 128, 256)) -> l
         field = membrane_solve(sub, pressure_profile=load)
         try:
             with np.errstate(over="raise", invalid="raise"):
-                ref = np.array([exact(ri) for ri in field.radii])
+                ref = exact(field.radii)
         except (FloatingPointError, OverflowError) as exc:
             raise NonConvergenceError(f"membrane convergence order overflowed: {exc}") from exc
         errors.append(float(np.max(np.abs(field.deflections - ref))))

@@ -8,8 +8,8 @@ derivatives of every chart map into the natural chart; the mean-to-natural
 Jacobian is the Hessian of the dual potential.  `cubic_form` contracts
 psi''' twice with a vector and `hess_dual_potential_product` applies phi''
 to one, each in closed form, as geodesic sprays need.  With the Fisher
-information of a chart (J^T psi'' J, or diag(1, 2) / sigma^2 in the Gaussian
-raw chart, which the pullback reaches only by cancellation) these are all
+information of a chart (the Hessian of the flat chart's own potential, psi''
+or phi'', and diag(1, 2) / sigma^2 in the Gaussian raw chart) these are all
 the geometry module needs for Fisher metrics and alpha-connections.  The
 third cumulant tensor `third_potential` is the reference for `cubic_form`
 and serves the log-density Hessians.  Scores and log-density Hessians of
@@ -212,12 +212,11 @@ class DistributionFamily(ABC):
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
     def _fisher_information(self, pt: ParameterPoint) -> np.ndarray:
-        """Fisher information J^T psi''(theta) J at the points of pt,
-        validated by the caller, (..., d, d)."""
-        theta = pt.coords if pt.chart == NATURAL else self._coords_in(pt, NATURAL)
-        jac = self._natural_jacobian(pt)
-        g = jac.swapaxes(-1, -2) @ self.hess_potential(theta) @ jac
-        return 0.5 * (g + g.swapaxes(-1, -2))
+        """Fisher information at the points of pt, validated by the caller,
+        (..., d, d): psi'' in the natural chart, phi'' in the mean chart."""
+        if pt.chart == NATURAL:
+            return self.hess_potential(pt.coords)
+        return self.hess_dual_potential(pt.coords)
 
     def score(self, pt: ParameterPoint, x) -> np.ndarray:
         """Gradient of log p w.r.t. the coordinates of pt's chart."""

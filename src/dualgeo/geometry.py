@@ -2,12 +2,12 @@
 alpha-connection Christoffel symbols, and rotation transforms.
 
 Every family here is exponential, so the Fisher metric and the
-alpha-connections have closed forms in the log-partition psi (Amari &
-Nagaoka, Methods of Information Geometry, 2000, sections 2.3 and 3.5).  With
-theta(u) the natural coordinates of a chart point u, J = d theta / du and
-H = d^2 theta / du^2,
+alpha-connections have closed forms in the log-partition psi and its dual
+phi (Amari & Nagaoka, Methods of Information Geometry, 2000, sections 2.3
+and 3.5).  Each flat chart's metric is its potential's Hessian, psi'' or
+phi''.  With theta(u) the natural coordinates of a chart point u,
+J = d theta / du and H = d^2 theta / du^2,
 
-    g_ij = psi_ab J^a_i J^b_j
     Gamma^(alpha)_{ij,k} = (1 - alpha)/2 psi_abc J^a_i J^b_j J^c_k
                            + psi_ab H^a_ij J^b_k.
 
@@ -18,8 +18,8 @@ independent metric route that the length functionals cross-check.
 
 Each family is its own Legendre pair: `legendre_dual`, `bregman_divergence`
 and `dual_metrics` take the family, with psi on the natural chart and its
-dual phi on the mean chart.  `QuadraticPotential` is the self-dual
-|theta|^2 / 2 with the same potential methods.
+dual phi on the mean chart.  `QuadraticPotential`, the self-dual
+|theta|^2 / 2 with the same potential methods, serves the first two.
 
 `fisher_metric`, `divergence_hessians`, `christoffel_first_kind` and
 `christoffel` follow the batch convention of `distributions`: a
@@ -135,8 +135,8 @@ class QuadraticPotential:
 
 
 def fisher_metric(family: DistributionFamily, pt: ParameterPoint) -> MetricTensor:
-    """Fisher information J^T psi''(theta) J in the chart of pt, at every
-    point of a batch: coordinates (..., d) give components (..., d, d).
+    """Fisher information in the chart of pt, at every point of a batch:
+    coordinates (..., d) give components (..., d, d).
     Raises DegenerateMetricError where the metric is not finite or not
     positive definite, as where phi'' overflows near the boundary of the mean
     chart or psi'' underflows to 0 far out in the natural chart."""
@@ -202,13 +202,11 @@ def pythagorean_gap(
     )
 
 
-def dual_metrics(family: DistributionFamily | QuadraticPotential, theta: ParameterPoint):
-    """Hessian metrics g = psi'' at natural theta and g* = phi'' at the dual
+def dual_metrics(family: DistributionFamily, theta: ParameterPoint):
+    """Fisher metrics g = psi'' at natural theta and g* = phi'' at the dual
     mean point."""
-    eta, _ = legendre_dual(family, theta)
-    g = np.atleast_2d(family.hess_potential(theta.coords))
-    g_star = np.atleast_2d(family.hess_dual_potential(eta.coords))
-    return MetricTensor(NATURAL, theta, g), MetricTensor(MEAN, eta, g_star)
+    _require_chart(theta, NATURAL)
+    return fisher_metric(family, theta), fisher_metric(family, family.convert(theta, MEAN))
 
 
 def christoffel_first_kind(
@@ -325,15 +323,6 @@ def fisher_orthogonal(
 def _require_chart(pt: ParameterPoint, chart: str):
     if pt.chart != chart:
         raise ChartError(f"expected chart {chart!r}, got {pt.chart!r}")
-
-
-def metric_field(family: DistributionFamily, chart: str):
-    """Callable coords -> Fisher metric components, for length integrals."""
-
-    def field_fn(coords):
-        return fisher_metric(family, ParameterPoint(chart, coords)).components
-
-    return field_fn
 
 
 def divergence_hessians(family: DistributionFamily, pt: ParameterPoint):

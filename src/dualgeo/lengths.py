@@ -2,10 +2,9 @@
 
 All lengths are composite-trapezoid quadratures of sqrt(v^T G v) along a
 sampled path, with velocities from second-order finite differences on the
-parameter grid and the metric G as an (n, d, d) array over the n samples.
-`length_report` evaluates every metric it needs on the whole path at once
-(see its docstring); `path_length` stacks a per-point metric callable into
-the same quadrature.
+parameter grid and the metric G as an (n, d, d) array over the n samples,
+all by the one quadrature `path_length`.  `length_report` evaluates every
+metric it needs on the whole path at once (see its docstring).
 
 Geodesics are straight segments in the flat chart for alpha = +/-1.  The
 Levi-Civita geodesic (alpha = 0) is shot: a damped Newton iteration on the
@@ -113,56 +112,21 @@ class LengthReport:
     grid_size: int
 
 
-def _arc_length(path: ParamPath, metric) -> float:
+def path_length(path: ParamPath, metric) -> float:
     """Trapezoid quadrature of sqrt(v^T G v) with G the (count, d, d) metric."""
     vel = np.gradient(path.samples, path.ts, axis=0)
     q = np.einsum("ni,nij,nj->n", vel, metric, vel)
     return float(np.trapezoid(np.sqrt(np.maximum(q, 0.0)), path.ts))
 
 
-def _stacked(path: ParamPath, field_fn):
-    return np.stack([np.atleast_2d(field_fn(c)) for c in path.samples])
-
-
-def _harmonic_mean(g, g_star):
-    """H = 2 (g^-1 + g*^-1)^-1 at every sample."""
-    return 2.0 * np.linalg.inv(np.linalg.inv(g) + np.linalg.inv(g_star))
-
-
-def path_length(path: ParamPath, field_fn) -> float:
-    """Trapezoid quadrature of sqrt(v^T G(x) v) with G from `field_fn`."""
-    return _arc_length(path, _stacked(path, field_fn))
-
-
 def primal_length(path: ParamPath, family: DistributionFamily) -> float:
     """Fisher arc length of the path in its own chart."""
-    return _arc_length(path, fisher_metric(family, path.batch()).components)
+    return path_length(path, fisher_metric(family, path.batch()).components)
 
 
-def dual_length(path: ParamPath, family: DistributionFamily) -> float:
-    """Arc length of the grad-psi image of a natural-chart path under g*."""
-    if path.chart != NATURAL:
-        raise ValueError(f"dual_length expects a {NATURAL!r}-chart path")
-    image = np.stack([np.atleast_1d(family.grad_potential(c)) for c in path.samples])
-    return path_length(ParamPath(MEAN, image, path.ts), family.hess_dual_potential)
-
-
-def potential_length(path: ParamPath, family: DistributionFamily) -> float:
-    """Arc length of a natural-chart path under the Hessian metric g = psi''."""
-    if path.chart != NATURAL:
-        raise ValueError(f"potential_length expects a {NATURAL!r}-chart path")
-    return path_length(path, family.hess_potential)
-
-
-def harmonic_length(path: ParamPath, g_field, g_star_field) -> float:
+def harmonic_length(path: ParamPath, g, g_star) -> float:
     """Length under H = 2 (g^-1 + g*^-1)^-1, the harmonic mean of the metrics."""
-    return _arc_length(path, _harmonic_mean(_stacked(path, g_field), _stacked(path, g_star_field)))
-
-
-def divergence_length(path: ParamPath, family: DistributionFamily) -> float:
-    """Length under g + g* with both metrics from KL-divergence Hessians."""
-    g, g_star = divergence_hessians(family, path.batch())
-    return _arc_length(path, g + g_star)
+    return path_length(path, 2.0 * np.linalg.inv(np.linalg.inv(g) + np.linalg.inv(g_star)))
 
 
 def length_report(path: ParamPath, family: DistributionFamily) -> LengthReport:
@@ -185,10 +149,10 @@ def length_report(path: ParamPath, family: DistributionFamily) -> LengthReport:
     image = ParamPath(MEAN, family.grad_potential(theta), path.ts)
     g_kl, g_star_kl = divergence_hessians(family, pts)
     return LengthReport(
-        primal=_arc_length(path, g),
-        dual=_arc_length(image, family.hess_dual_potential(image.samples)),
-        harmonic=_arc_length(path, _harmonic_mean(g, g_star_kl)),
-        divergence_based=_arc_length(path, g_kl + g_star_kl),
+        primal=path_length(path, g),
+        dual=path_length(image, family.hess_dual_potential(image.samples)),
+        harmonic=harmonic_length(path, g, g_star_kl),
+        divergence_based=path_length(path, g_kl + g_star_kl),
         grid_size=path.count,
     )
 

