@@ -6,8 +6,8 @@ chart for the Gaussian).  Each family gives the log-partition psi and its
 first three derivatives in closed form, together with the first and second
 derivatives of every chart map into the natural chart; the mean-to-natural
 Jacobian is the Hessian of the dual potential.  `cubic_form` contracts
-psi''' twice with a vector and `hess_dual_potential_product` applies phi''
-to one, each in closed form, as geodesic sprays need.  With the Fisher
+psi''' twice with a vector and `hess_potential_solve` applies psi''^-1 to
+one, each in closed form from theta, as geodesic sprays need.  With the Fisher
 information of a chart (the Hessian of the flat chart's own potential, psi''
 or phi'', and diag(1, 2) / sigma^2 in the Gaussian raw chart) these are all
 the geometry module needs for Fisher metrics and alpha-connections.  The
@@ -162,6 +162,11 @@ class DistributionFamily(ABC):
         build the d^3 tensor."""
 
     @abstractmethod
+    def hess_potential_solve(self, theta, x) -> np.ndarray:
+        """psi''(theta)^-1 x, (..., d): phi'' at eta = grad psi(theta) applied
+        to x, in a closed form of theta; theta and x broadcast as in `cubic_form`."""
+
+    @abstractmethod
     def dual_potential(self, eta):
         """Legendre dual phi(eta) = <theta(eta), eta> - psi(theta(eta))."""
 
@@ -172,11 +177,6 @@ class DistributionFamily(ABC):
     @abstractmethod
     def hess_dual_potential(self, eta) -> np.ndarray:
         ...
-
-    def hess_dual_potential_product(self, eta, v) -> np.ndarray:
-        """phi''(eta) v, (..., d), at every point of a batch.  A family whose
-        phi'' is structured overrides it without building the d x d matrix."""
-        return (self.hess_dual_potential(eta) @ v[..., None])[..., 0]
 
     # -- log-density machinery ------------------------------------------
 
@@ -343,6 +343,10 @@ class Bernoulli(_DiscreteFamily):
         s, r = expit(t), expit(-t)
         return s * r * (r - s) * u**2
 
+    def hess_potential_solve(self, theta, x):
+        t = np.asarray(theta, dtype=float)
+        return x / (expit(t) * expit(-t))
+
     def dual_potential(self, eta):
         # xlogy keeps 0 log 0 = 0 where a saturated sigmoid gives eta in {0, 1}
         e = np.asarray(eta, dtype=float)[..., 0]
@@ -442,6 +446,12 @@ class Categorical(_DiscreteFamily):
         x = u - m
         return p * x**2 - p * (np.sum(p * x**2, axis=-1, keepdims=True) + p_last * m**2)
 
+    def hess_potential_solve(self, theta, x):
+        # Sherman-Morrison: (diag(p) - p p^T)^-1 = diag(1 / p) + 1 1^T / p_k,
+        # with every probability from the softmax, where 1 - sum(p) loses p_k
+        full = _softmax(theta)
+        return x / full[..., :-1] + np.sum(x, axis=-1, keepdims=True) / full[..., -1:]
+
     def dual_potential(self, eta):
         full = _with_last(np.asarray(eta, dtype=float))
         return _scalar(np.sum(xlogy(full, full), axis=-1))
@@ -455,12 +465,6 @@ class Categorical(_DiscreteFamily):
         e = np.asarray(eta, dtype=float)
         last = 1.0 - e.sum(axis=-1)
         return (1.0 / e)[..., :, None] * np.eye(e.shape[-1]) + (1.0 / last)[..., None, None]
-
-    def hess_dual_potential_product(self, eta, v):
-        # diag(1 / eta) + 1 1^T / eta_k applied to v
-        e = np.asarray(eta, dtype=float)
-        last = 1.0 - e.sum(axis=-1, keepdims=True)
-        return v / e + np.sum(v, axis=-1, keepdims=True) / last
 
     def _score_natural(self, theta, x):
         t = np.zeros(self.dim)
@@ -628,6 +632,13 @@ class Gaussian1D(DistributionFamily):
         r2 = r * r
         r2a = r2 * (u1 - w)
         return np.stack([r2a * u2, 0.5 * r2a * (u1 - 3.0 * w) - r2 * r * u2 * u2], axis=-1)
+
+    def hess_potential_solve(self, theta, x):
+        # phi'' = 2 [[theta_1^2 - theta_2, theta_1 theta_2], [theta_1 theta_2, theta_2^2]]
+        t = np.asarray(theta, dtype=float)
+        t1, t2 = t[..., 0], t[..., 1]
+        s = t1 * x[..., 0] + t2 * x[..., 1]
+        return np.stack([2.0 * (t1 * s - t2 * x[..., 0]), 2.0 * t2 * s], axis=-1)
 
     def dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)

@@ -29,9 +29,9 @@ case of the same code.
 
 The alpha-connection has one route, `geodesic_spray`: the d-vector
 Gamma^k_ij v^i v^j that geodesic equations need, from the third cumulant
-contracted with the velocity (`cubic_form`), without the d^3 tensor.  In the
-mean chart it needs no solve, and in the natural chart psi'' is inverted once
-per point.  `christoffel` is the polarised spray: Gamma(v, v) is a symmetric
+contracted with the velocity (`cubic_form`) and psi''^-1 applied to a vector
+(`hess_potential_solve`), each in closed form, with no d^3 tensor and no
+solve.  `christoffel` is the polarised spray: Gamma(v, v) is a symmetric
 quadratic form, so Gamma(e_j, e_k) = [Gamma(e_j + e_k) - Gamma(e_j - e_k)] / 4
 gives the whole tensor from one spray call, and `christoffel_first_kind`
 lowers its index with the metric.  Neither needs the d^3 tensor psi_abc
@@ -257,29 +257,23 @@ def geodesic_spray(
     Gamma(v, v) = J^-1 [(1 - alpha)/2 psi''^-1 psi'''(u, u, .) + H(v, v)]:
     in the natural chart J = 1 and H = 0, and in the mean chart J = phi'' =
     psi''^-1 and H(v, v) = -phi'' psi'''(u, u, .), so there
-    Gamma(v, v) = -(1 + alpha)/2 psi'''(u, u, .), which needs no solve.
+    Gamma(v, v) = -(1 + alpha)/2 psi'''(u, u, .).  Both apply psi''^-1 from
+    theta (`hess_potential_solve`).  The Gaussian raw chart (mu, sigma) has
+    Gamma(v, v) = (-2 (1 + alpha) mu' sigma', (1 - alpha) mu'^2 / 2
+    - (1 + 2 alpha) sigma'^2) / sigma (Amari & Nagaoka 2000, section 2.3).
     """
     family.validate(pt)
     v = np.asarray(v, dtype=float)
     w = 0.5 * (1.0 - alpha)
-    if pt.chart == MEAN:
-        u = family.hess_dual_potential_product(pt.coords, v)
-        return (w - 1.0) * family.cubic_form(family._coords_in(pt, NATURAL), u)
     if pt.chart == NATURAL:
-        # psi'' inverted once per point, however many velocities share it
-        inv = np.linalg.inv(family.hess_potential(pt.coords))
-        return w * (inv @ family.cubic_form(pt.coords, v)[..., None])[..., 0]
-    # any other chart: the general form, with one solve by psi'' and one by J
-    theta = family._coords_in(pt, NATURAL)
-    jac = family._natural_jacobian(pt)
-    u = (jac @ v[..., None])[..., 0]
-    bend = np.einsum("...aij,...i,...j->...a", family._natural_jacobian_derivative(pt), v, v)
-    return _solve_vec(jac, w * _solve_vec(family.hess_potential(theta), family.cubic_form(theta, u)) + bend)
-
-
-def _solve_vec(a, b):
-    """a^-1 b for matrices (..., d, d) and vectors (..., d)."""
-    return np.linalg.solve(a, b[..., None])[..., 0]
+        return w * family.hess_potential_solve(pt.coords, family.cubic_form(pt.coords, v))
+    if pt.chart == MEAN:
+        theta = family._coords_in(pt, NATURAL)
+        return (w - 1.0) * family.cubic_form(theta, family.hess_potential_solve(theta, v))
+    # the one other chart, the Gaussian's raw (mu, sigma)
+    dmu, dsigma = v[..., 0], v[..., 1]
+    gamma = np.stack([-2.0 * (1.0 + alpha) * dmu * dsigma, w * dmu**2 - (1.0 + 2.0 * alpha) * dsigma**2], axis=-1)
+    return gamma / pt.coords[..., 1:]
 
 
 def transform_metric(g: MetricTensor, rot: RotationMap) -> MetricTensor:

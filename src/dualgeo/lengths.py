@@ -134,9 +134,9 @@ def length_report(path: ParamPath, family: DistributionFamily) -> LengthReport:
 
     One pass over whole-path arrays: the closed-form Fisher metric g of the
     path's chart (validating the path), the natural coordinates theta of the
-    path with its grad-psi image eta and the dual metric phi''(eta) there,
-    and the KL-divergence Hessians (g_kl, g*_kl) from one stencil evaluation
-    per argument slot.  Then
+    path with its grad-psi image eta and the dual metric phi'' there, as
+    psi''(theta)^-1, and the KL-divergence Hessians (g_kl, g*_kl) from one
+    stencil evaluation per argument slot.  Then
 
         primal             under g
         dual               of the eta image under phi''
@@ -150,7 +150,7 @@ def length_report(path: ParamPath, family: DistributionFamily) -> LengthReport:
     g_kl, g_star_kl = divergence_hessians(family, pts)
     return LengthReport(
         primal=path_length(path, g),
-        dual=path_length(image, family.hess_dual_potential(image.samples)),
+        dual=path_length(image, family.hess_potential_solve(theta[:, None, :], np.eye(family.dim))),
         harmonic=harmonic_length(path, g, g_star_kl),
         divergence_based=path_length(path, g_kl + g_star_kl),
         grid_size=path.count,
@@ -164,7 +164,7 @@ def _first_trial(family: DistributionFamily, chart: str, x0, x1) -> np.ndarray:
     The Levi-Civita connection is the mean of the e- and m-connections, so
     the mean of the e- and m-geodesic initial velocities,
 
-        v0 = 1/2 J^-1 [(theta1 - theta0) + phi''(eta0) (eta1 - eta0)],
+        v0 = 1/2 J^-1 [(theta1 - theta0) + psi''(theta0)^-1 (eta1 - eta0)],
 
     with J = d theta / dx at x0 (the identity in the natural chart), matches
     the Levi-Civita initial velocity up to third order in the chord
@@ -179,7 +179,7 @@ def _first_trial(family: DistributionFamily, chart: str, x0, x1) -> np.ndarray:
     # a saturated point (eta on the boundary in double precision) gives an
     # infinite phi'' and so a v0 that is not finite
     with np.errstate(all="ignore"):
-        u = theta[1] - theta[0] + family.hess_dual_potential_product(eta[0], eta[1] - eta[0])
+        u = theta[1] - theta[0] + family.hess_potential_solve(theta[0], eta[1] - eta[0])
         try:
             v0 = 0.5 * np.linalg.solve(family._natural_jacobian(ParameterPoint(chart, x0)), u)
         except np.linalg.LinAlgError:

@@ -37,6 +37,12 @@ def categorical_fisher_distance(p, q):
     return 2.0 * np.arccos(np.sum(np.sqrt(p * q)))
 
 
+def softmax(theta):
+    """All k probabilities from the k - 1 log-odds against the last."""
+    e = np.exp(np.append(theta, 0.0))
+    return e / e.sum()
+
+
 def levi_civita_initial_velocity(fam, chart, x0, x1):
     """Initial velocity in `chart` of the Levi-Civita geodesic from x0 to x1
     on t in [0, 1], in closed form.  Bernoulli and Categorical geodesics run
@@ -253,8 +259,9 @@ def test_geodesic_endpoints():
 
 # The length error is the O(h^2) of the trapezoid-and-gradient length
 # quadrature.  Measured errors: Bernoulli 8.4e-7 at 256 steps, Gaussian
-# 1.82e-5, Categorical(3) 8.2e-6 and Categorical(16) 1.07e-6 at 64 steps; the
-# bounds are about twice these.
+# 1.92e-5 (at mu = 0 and at mu = 1e6 alike), Categorical(3) 8.2e-6,
+# Categorical(16) 1.07e-6 in the mean chart and 1.78e-6 in the natural chart
+# at 64 steps; the bounds are about twice these.
 @pytest.mark.parametrize(
     "fam, chart, a, b, steps, oracle, tol",
     [
@@ -267,6 +274,13 @@ def test_geodesic_endpoints():
         # from the uniform point, two weights moved by +-0.5 / 16
         pytest.param(Categorical(16), MEAN, [1 / 16] * 15, [1.5 / 16, 0.5 / 16] + [1 / 16] * 13, 64,
                      categorical_fisher_distance, 2e-6, id="categorical16-mean"),
+        # sigma doubles at mu = 1e6: the general chart-change spray cancelled
+        # terms that grow with mu / sigma, and shooting did not converge
+        pytest.param(Gaussian1D(), RAW, [1e6, 1.0], [1e6, 2.0], 64,
+                     lambda a, b: np.sqrt(2.0) * np.log(2.0), 4e-5, id="gaussian-raw-far-mean"),
+        pytest.param(Categorical(16), NATURAL, [0.0] * 15, [1.0, -1.0] + [0.5] * 13, 64,
+                     lambda a, b: categorical_fisher_distance(softmax(a)[:-1], softmax(b)[:-1]), 4e-6,
+                     id="categorical16-natural"),
     ],
 )
 def test_fisher_geodesic_closed_form_distance(fam, chart, a, b, steps, oracle, tol):
