@@ -425,8 +425,14 @@ class Categorical(_DiscreteFamily):
         return _softmax(theta)[..., :-1]
 
     def hess_potential(self, theta):
-        p = self.grad_potential(theta)
-        return p[..., :, None] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
+        # diag(p) - p p^T, with the diagonal p_a (1 - p_a) as p_a times the sum
+        # of the other probabilities: 1 - p_a rounds to 0 where outcome a
+        # takes almost all the mass
+        full = _softmax(theta)
+        p = full[..., :-1]
+        eye = np.eye(p.shape[-1], full.shape[-1], dtype=bool)
+        others = np.sum(np.where(eye, 0.0, full[..., None, :]), axis=-1)
+        return np.where(eye[:, :-1], (p * others)[..., None], -p[..., :, None] * p[..., None, :])
 
     def third_potential(self, theta):
         # psi_ab = p_a n_ab with n_ab = delta_ab - p_b, and d p_a / d theta_c = p_a n_ac:

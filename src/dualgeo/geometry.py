@@ -41,6 +41,7 @@ lowers its index with the metric.  Neither needs the d^3 tensor psi_abc
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -285,21 +286,13 @@ def transform_metric(g: MetricTensor, rot: RotationMap) -> MetricTensor:
     return MetricTensor(g.chart, g.at, comps)
 
 
-def transform_christoffel(
-    gamma: ChristoffelArray, rot: RotationMap, jacobian_derivative=None
-) -> ChristoffelArray:
-    """Pull back connection coefficients along x = R x~.
-
-    For a constant rotation the inhomogeneous term vanishes.  A
-    position-dependent map must supply jacobian_derivative[m, j, k] =
-    dR^m_j / dx~^k, which contributes R^T . dR.
-    """
+def transform_christoffel(gamma: ChristoffelArray, rot: RotationMap) -> ChristoffelArray:
+    """Pull back connection coefficients along x = R x~; for a constant
+    rotation the inhomogeneous term vanishes."""
     r = rot.matrix
     if r.shape[0] != gamma.components.shape[0]:
         raise ValueError("rotation dimension does not match connection")
     comps = np.einsum("mi,nj,pk,mnp->ijk", r, r, r, gamma.components)
-    if jacobian_derivative is not None:
-        comps = comps + np.einsum("mi,mjk->ijk", r, np.asarray(jacobian_derivative))
     return ChristoffelArray(gamma.chart, gamma.at, gamma.alpha, comps)
 
 
@@ -324,21 +317,35 @@ def divergence_hessians(family: DistributionFamily, pt: ParameterPoint):
     coincidence (g) and in the second argument (g*), by central differences
     with step h_i = max(1, |u_i|) eps^(1/4).
 
-    Coordinates (..., d) give g and g* of shape (..., d, d).  The stencils of
-    all points are validated and evaluated together, one batched `kl` call
-    per argument slot; a batch whose stencils exceed _STENCIL_BLOCK
-    coordinates is split into blocks, so memory stays bounded.
+    Coordinates (..., d) give g and g* of shape (..., d, d).  A point's
+    stencil rows are the point itself, then u +- h_i e_i for each i (the
+    diagonal), then the corners (+, +), (+, -), (-, +), (-, -) of
+    u +- h_i e_i +- h_j e_j for each pair i < j in `np.triu_indices(d, 1)`
+    order (the entries (i, j) and (j, i)).  The stencils of all points are
+    validated and evaluated together, one batched `kl` call per argument
+    slot; a batch whose stencils exceed _STENCIL_BLOCK coordinates is split
+    into blocks, so memory stays bounded.
     """
     u = pt.coords
     d = u.shape[-1]
     flat = u.reshape(-1, d)
-    offsets, diag, mixed = _kl_stencil(d)
+    offsets, (i, j) = _kl_stencil(d)
     block = max(1, _STENCIL_BLOCK // (len(offsets) * d))
     g = np.empty((flat.shape[0], d, d))
     g_star = np.empty_like(g)
     for start in range(0, flat.shape[0], block):
         rows = slice(start, start + block)
-        g[rows], g_star[rows] = _stencil_hessians(family, pt.chart, flat[rows], offsets, diag, mixed)
+        x = flat[rows]
+        h = np.maximum(1.0, np.abs(x)) * np.finfo(float).eps ** 0.25
+        stencil = ParameterPoint(pt.chart, x[:, None, :] + offsets * h[:, None, :])
+        family.validate(stencil)  # row 0 of each stencil is the point itself
+        centre = ParameterPoint(pt.chart, x[:, None, :])
+        h_ii, h_ij = h**2, 4.0 * h[:, i] * h[:, j]
+        for m, kl in zip((g[rows], g_star[rows]), (family.kl(stencil, centre), family.kl(centre, stencil))):
+            a = kl[:, 1 : 2 * d + 1].reshape(len(x), d, 2)
+            c = kl[:, 2 * d + 1 :].reshape(len(x), len(i), 4)
+            m.reshape(-1, d * d)[:, :: d + 1] = (a[..., 0] - 2.0 * kl[:, :1] + a[..., 1]) / h_ii
+            m[:, i, j] = m[:, j, i] = (c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]) / h_ij
     return g.reshape(u.shape + (d,)), g_star.reshape(u.shape + (d,))
 
 
@@ -346,38 +353,15 @@ def divergence_hessians(family: DistributionFamily, pt: ParameterPoint):
 _STENCIL_BLOCK = 2**20
 
 
+@cache
 def _kl_stencil(d):
-    """Offsets, in units of h, of the points the central differences combine:
-    the centre, +-e_i for each i, and +-e_i +-e_j for each i < j.  With them,
-    the rows (+e_i, -e_i) for each i and (++, +-, -+, --) for each i < j."""
+    """Offsets, in units of h, of the stencil points in the row order of
+    `divergence_hessians`, and the pairs (i, j), i < j, of its corners."""
     eye = np.eye(d)
-    offsets = [np.zeros(d)]
-    diag, mixed = [], {}
-    for i in range(d):
-        diag.append((len(offsets), len(offsets) + 1))
-        offsets += [eye[i], -eye[i]]
-    for i in range(d):
-        for j in range(i + 1, d):
-            mixed[i, j] = tuple(range(len(offsets), len(offsets) + 4))
-            offsets += [si * eye[i] + sj * eye[j] for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    return np.array(offsets), diag, mixed
-
-
-def _stencil_hessians(family, chart, u, offsets, diag, mixed):
-    """g and g* at the points u (n, d) from one kl call per argument slot."""
-    d = u.shape[-1]
-    h = np.maximum(1.0, np.abs(u)) * np.finfo(float).eps ** 0.25
-    stencil = ParameterPoint(chart, u[:, None, :] + offsets * h[:, None, :])
-    family.validate(stencil)  # row 0 of each stencil is the point itself
-    centre = ParameterPoint(chart, u[:, None, :])
-    hessians = []
-    for kl in (family.kl(stencil, centre), family.kl(centre, stencil)):
-        m = np.empty(u.shape + (d,))
-        for i, (plus, minus) in enumerate(diag):
-            m[:, i, i] = (kl[:, plus] - 2.0 * kl[:, 0] + kl[:, minus]) / h[:, i] ** 2
-        for (i, j), (pp, pm, mp, mm) in mixed.items():
-            m[:, i, j] = m[:, j, i] = (kl[:, pp] - kl[:, pm] - kl[:, mp] + kl[:, mm]) / (
-                4.0 * h[:, i] * h[:, j]
-            )
-        hessians.append(m)
-    return hessians
+    i, j = np.triu_indices(d, 1)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    axis = np.stack([eye, -eye], axis=1)
+    corners = signs[:, :1] * eye[i][:, None, :] + signs[:, 1:] * eye[j][:, None, :]
+    offsets = np.concatenate([np.zeros((1, d)), axis.reshape(-1, d), corners.reshape(-1, d)])
+    offsets.flags.writeable = i.flags.writeable = j.flags.writeable = False
+    return offsets, (i, j)

@@ -125,8 +125,13 @@ def primal_length(path: ParamPath, family: DistributionFamily) -> float:
 
 
 def harmonic_length(path: ParamPath, g, g_star) -> float:
-    """Length under H = 2 (g^-1 + g*^-1)^-1, the harmonic mean of the metrics."""
-    return path_length(path, 2.0 * np.linalg.inv(np.linalg.inv(g) + np.linalg.inv(g_star)))
+    """Length under H = 2 (g^-1 + g*^-1)^-1, the harmonic mean of the metrics;
+    a singular metric, as a KL Hessian whose stencil underflowed, is a
+    NonConvergenceError."""
+    try:
+        return path_length(path, 2.0 * np.linalg.inv(np.linalg.inv(g) + np.linalg.inv(g_star)))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"harmonic metric: {exc}") from None
 
 
 def length_report(path: ParamPath, family: DistributionFamily) -> LengthReport:
@@ -217,9 +222,6 @@ def geodesic(
 
     x0 = family.convert(a, chart).coords
     x1 = family.convert(b, chart).coords
-    if np.allclose(x0, x1):
-        return ParamPath(chart, np.tile(x0, (count, 1)))
-
     d = x0.size
     h = 1.0 / steps
 
@@ -230,21 +232,22 @@ def geodesic(
         return np.concatenate([v, -geodesic_spray(family, ParameterPoint(chart, x), v, 0.0)], axis=1)
 
     def shoot(v0):
-        """Trajectory (steps + 1, d) from x0 with velocity v0, and its
-        sensitivity [t, i, j] = d x_j(t) / d v0_i from the shots at
-        v0 + eps_i e_i."""
-        eps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(v0))
+        """Trajectory (steps + 1, 2d) of positions and velocities from x0 with
+        velocity v0, and its sensitivity [t, i, j] = d state_j(t) / d v0_i
+        from the shots at v0 + eps_i e_i, with eps_i scaled by |v0_i| and
+        |x0_i| so that the perturbed shot moves x by more than rounding."""
+        eps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.maximum(np.abs(v0), np.abs(x0)))
         velocities = v0 + np.vstack([np.zeros(d), np.diag(eps)])
         state = np.hstack([np.tile(x0, (d + 1, 1)), velocities])
-        paths = np.empty((steps + 1, d + 1, d))
-        paths[0] = x0
+        paths = np.empty((steps + 1, d + 1, 2 * d))
+        paths[0] = state
         for n in range(steps):
             k1 = rhs(state)
             k2 = rhs(state + 0.5 * h * k1)
             k3 = rhs(state + 0.5 * h * k2)
             k4 = rhs(state + h * k3)
             state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            paths[n + 1] = state[:, :d]
+            paths[n + 1] = state
         return paths[:, 0], (paths[:, 1:] - paths[:, :1]) / eps[:, None]
 
     chord = x1 - x0
@@ -271,10 +274,10 @@ def geodesic(
                     # whether the step just taken was a full Newton step
                     newton_step = iteration > 0 and halvings_left == _HALVINGS
                     v = v + step
-                    residual = traj[-1] - x1
+                    residual = traj[-1, :d] - x1
                     miss = float(np.max(np.abs(residual)))
                     taken = float(np.max(np.abs(step)))
-                    step = -np.linalg.solve(sens[-1].T, residual)
+                    step = -np.linalg.solve(sens[-1, :, :d].T, residual)
                     # Newton's contraction Theta = |step| / |taken| predicts
                     # the miss after the pending step, miss * Theta^2
                     # (Deuflhard 2004, section 3.2); multiplied out, so that
@@ -305,13 +308,17 @@ def geodesic(
         if np.array_equal(trial, chord):
             raise
         traj, sens, step = newton(chord)
-    # The pending Newton step, carried along the whole path by its
+    # The pending Newton step, carried along the whole trajectory by its
     # sensitivity: the endpoint lands on x1 to rounding, and the path matches
     # the shot at v + step to O(step^2), without another integration.
     traj = traj + step @ sens
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    if count != steps + 1:
-        tq = np.linspace(0.0, 1.0, count)
-        traj = np.stack([np.interp(tq, ts, traj[:, j]) for j in range(traj.shape[1])], axis=1)
-        ts = tq
-    return ParamPath(chart, traj, ts)
+    # Cubic Hermite between the RK4 nodes n and m = n + 1, in increments from
+    # node n at the fraction s of its step, so that a node (s = 0) and a
+    # constant path come out exactly; the last node is its own neighbour m.
+    x, v = traj[:, :d], h * traj[:, d:]
+    at = np.arange(count) * steps / max(count - 1, 1)
+    n = np.floor(at).astype(int)
+    s, m = (at - n)[:, None], np.minimum(n + 1, steps)
+    dx, v0, v1 = x[m] - x[n], v[n], v[m]
+    samples = x[n] + s * (v0 + s * (3.0 * dx - 2.0 * v0 - v1 + s * (v0 + v1 - 2.0 * dx)))
+    return ParamPath(chart, samples, np.linspace(0.0, 1.0, count))

@@ -16,7 +16,9 @@ from scipy.special import ellipeinc
 
 import dualgeo
 from dualgeo import cli, continuum, tables
+from dualgeo.distributions import Gaussian1D
 from dualgeo.errors import NonConvergenceError
+from dualgeo.lengths import ParamPath, primal_length
 
 INVOCATIONS = {
     "fisher": ["fisher", "--family", "bernoulli", "--chart", "mean", "--point", "0.3"],
@@ -192,6 +194,25 @@ def test_wide_bernoulli_geodesic_exits_3_or_joins_endpoints(tmp_path, capsys):
     else:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: numerics: ")
+
+
+@pytest.mark.parametrize(
+    "chart, a, b, distance",
+    [
+        ("raw", "1000,1", "1000.009,1", np.sqrt(2.0) * np.arccosh(1.0 + 0.009**2 / 4.0)),
+        # sigma from 1 to sqrt(1.001)
+        ("mean", "10,101", "10,101.001", np.log(1.001) / np.sqrt(2.0)),
+    ],
+)
+def test_near_coincident_geodesic_endpoints_are_joined(chart, a, b, distance, tmp_path):
+    # endpoints within np.allclose of each other once gave the constant path at a
+    argv = ["geodesic", "--family", "gaussian", "--chart", chart, "--a", a, "--b", b, "--alpha", "0"]
+    code, data = run(argv, tmp_path)
+    assert code == 0
+    rows = np.array(tables.from_csv(data).rows)
+    assert np.max(np.abs(rows[-1, 1:] - np.array(b.split(","), dtype=float))) <= 1e-6
+    path = ParamPath(chart, rows[:, 1:], rows[:, 0])
+    assert abs(primal_length(path, Gaussian1D()) - distance) <= 1e-4 * distance
 
 
 def test_wide_bernoulli_geodesic_runs_linearly_in_arcsin_sqrt_eta(tmp_path):
@@ -496,6 +517,24 @@ def test_raw_gaussian_fisher_metric_is_diagonal_at_any_mean(pt, g11, tmp_path):
     g = np.array(tables.from_csv(data).rows)[:, 2].reshape(2, 2)
     assert g[0, 1] == g[1, 0] == 0.0
     assert abs(g[1, 1] - g11) <= np.spacing(g11) and g[0, 0] == 0.5 * g[1, 1]
+
+
+def test_categorical_natural_metric_where_a_first_outcome_takes_almost_all_the_mass(tmp_path):
+    # psi''_00 = p_0 (p_1 + p_2) = 2 e^-40 to rounding, where p_0 - p_0^2
+    # rounded to 0 and the metric was not positive definite
+    code, data = run(["fisher", "--family", "categorical", "--k", "3", "--chart", "natural",
+                      "--point", "40,0"], tmp_path)
+    assert code == 0
+    g00 = tables.from_csv(data).rows[0][2]
+    assert abs(g00 - 2.0 * np.exp(-40.0)) <= 1e-15 * g00
+
+
+def test_underflowed_kl_hessian_metric_exits_3():
+    # there the second-slot KL stencil underflows to an all-zero g*: a
+    # numerical failure, once reported as a parameter error
+    argv = ["lengths", "--family", "categorical", "--k", "3", "--chart", "natural", "--start", "40,0", "--end", "39,0"]
+    code, err, data = run_clean(argv)
+    assert code == 3 and err.startswith("error: numerics: ") and data == b""
 
 
 def test_mean_chart_fisher_metric_is_exactly_symmetric(tmp_path):

@@ -825,16 +825,19 @@ def test_geodesic_spray_matches_the_linear_algebra_routes(fam, chart, alpha):
 
 
 # Error relative to the largest component of x at each point.  Measured: 0
-# (Bernoulli), 1.7e-15 (Categorical(5)) and 6.9e-14 (Gaussian) at the random
-# points; 1.9e-16 and 5.4e-17 at the saturated logits, where psi'' keeps its
-# digits (Bernoulli) or the last outcome takes almost all the mass
-# (Categorical).  The bound is about 4 times the worst.  Where another outcome
-# takes it, psi'' itself rounds p_a - p_a^2 to 0, which no inverse can undo.
+# (Bernoulli), 9.0e-16 (Categorical(5)) and 6.9e-14 (Gaussian) at the random
+# points; 1.9e-16 and 4.1e-16 at the saturated logits, where psi'' keeps its
+# digits (Bernoulli) or one outcome takes almost all the mass (Categorical).
+# The bound is about 4 times the worst.  Where that outcome is one of the
+# first k - 1, psi''_aa = p_a (1 - p_a) keeps its digits only as p_a times the
+# sum of the other probabilities: p_a - p_a^2 rounded it to 0, and the last
+# two points measured 3.2 and 4.3.
 @pytest.mark.parametrize(
     "fam, saturated",
     [
         (Bernoulli(), [[30.0], [-30.0], [300.0], [-300.0], [700.0], [-700.0]]),
-        (Categorical(5), [[-40.0] * 4, [-300.0, -30.0, -700.0, -5.0], [-700.0] * 4]),
+        (Categorical(5), [[-40.0] * 4, [-300.0, -30.0, -700.0, -5.0], [-700.0] * 4, [40.0, 0.0, 0.0, 0.0],
+                          [0.0, 300.0, -5.0, 0.0]]),
         (Gaussian1D(), []),
     ],
     ids=["Bernoulli", "Categorical5", "Gaussian1D"],
