@@ -135,7 +135,7 @@ def _cmd_divergence(args):
     q = ParameterPoint(args.chart, _floats(args.q, "q"))
     kl_pq = geometry.kl_divergence(fam, p, q)
     kl_qp = geometry.kl_divergence(fam, q, p)
-    breg = geometry.bregman_divergence(fam, fam.convert(q, NATURAL), fam.convert(p, MEAN))
+    breg = geometry.bregman_divergence(fam, fam.convert(q, NATURAL), p)
     cols = ["kl_pq", "kl_qp", "bregman"]
     row = [kl_pq, kl_qp, breg]
     if args.r is not None:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipeinc
 
 from .errors import NonConvergenceError
 
@@ -183,7 +182,11 @@ def string_arc_length_exact(model: StringModel, x: float) -> float:
     x sqrt(1 + c^2) E(phi | m) / phi, phi = f_s x, so that a phase that
     underflows, where E(phi | m) / phi -> 1, still gives the chord x.  A length
     that is not representable in double precision is a NonConvergenceError.
+    scipy.special is imported here, when called, so that importing dualgeo
+    loads no scipy module.
     """
+    from scipy.special import ellipeinc
+
     if x <= 0.0:
         raise ValueError("endpoint must be positive")
     phi = model.total_frequency * x

@@ -12,7 +12,8 @@ information of a chart (the Hessian of the flat chart's own potential, psi''
 or phi'', and diag(1, 2) / sigma^2 in the Gaussian raw chart) these are all
 the geometry module needs for Fisher metrics and alpha-connections.  The
 third cumulant tensor `third_potential` is the reference for `cubic_form`
-and serves the log-density Hessians.  Scores and log-density Hessians of
+(Bernoulli's, a single entry, is its cubic form at u = 1) and serves the
+log-density Hessians.  Scores and log-density Hessians of
 single outcomes are transported from the natural chart by the chain rule;
 expectations are exact sums for discrete families and Gauss-Hermite
 quadrature for the Gaussian.  The discrete KL divergence has one formula,
@@ -34,7 +35,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp, xlogy
 
 NATURAL = "natural"
 MEAN = "mean"
@@ -170,6 +170,12 @@ class DistributionFamily(ABC):
     def dual_potential(self, eta):
         """Legendre dual phi(eta) = <theta(eta), eta> - psi(theta(eta))."""
 
+    def dual_potential_at(self, pt: ParameterPoint):
+        """phi at the points of pt, evaluated from pt's own chart: a family
+        whose mean coordinates lose digits that another chart holds overrides
+        this.  By default phi of the mean coordinates."""
+        return self.dual_potential(self.convert(pt, MEAN).coords)
+
     @abstractmethod
     def grad_dual_potential(self, eta) -> np.ndarray:
         ...
@@ -289,6 +295,12 @@ class _DiscreteFamily(DistributionFamily):
             return _scalar(np.sum(np.where(lp == -np.inf, 0.0, np.exp(lp) * (lp - lq)), axis=-1))
 
 
+# Half-angle factors of the Bernoulli spray as 0-d arrays: numpy converts a
+# Python float operand on every call, which on a batch of one or two points
+# costs about half as much again as the multiplication itself.
+_HALF, _MINUS_HALF = np.array(0.5), np.array(-0.5)
+
+
 class Bernoulli(_DiscreteFamily):
     """Coin flip; natural chart is the log-odds, mean chart the head probability."""
 
@@ -317,40 +329,55 @@ class Bernoulli(_DiscreteFamily):
 
     def log_probs(self, pt: ParameterPoint) -> np.ndarray:
         if pt.chart == NATURAL:
-            # log-sigmoid stays exact where the sigmoid rounds to 0 or 1
-            return np.concatenate([log_expit(-pt.coords), log_expit(pt.coords)], axis=-1)
+            # log-sigmoid, log s(t) = -log(1 + e^-t), stays exact where the
+            # sigmoid rounds to 0 or 1
+            t = pt.coords
+            return np.concatenate([-np.logaddexp(0.0, t), -np.logaddexp(0.0, -t)], axis=-1)
         return super().log_probs(pt)
+
+    # No formula here starts from a rounded sigmoid.  With e = exp(-|theta|)
+    # in [0, 1], s is 1 / (1 + e) for theta >= 0 and e / (1 + e) below, and
+    # psi'' = s (1 - s) = e / (1 + e)^2 overflows nowhere and stays subnormal
+    # out to |theta| = 745.  At the half angle, psi'' = 1 / (2 cosh(theta / 2))^2
+    # and 1 - 2 s = -tanh(theta / 2), which keeps its digits near theta = 0:
+    # the cubic form and the solve of the geodesic spray take these, one cosh
+    # and one tanh each, as fast as two sigmoids.  cosh(theta / 2) overflows
+    # only past |theta| = 1420.9, where psi'' has long underflowed to 0.
 
     def potential(self, theta):
         return _scalar(np.logaddexp(0.0, np.asarray(theta, dtype=float)[..., 0]))
 
     def grad_potential(self, theta):
-        return expit(np.asarray(theta, dtype=float))
+        t = np.asarray(theta, dtype=float)
+        e = np.exp(-np.abs(t))
+        return np.where(t < 0.0, e, 1.0) / (1.0 + e)
 
     def hess_potential(self, theta):
-        # s (1 - s) from the two tails: a rounded s loses 1 - s near eta = 1
-        t = np.asarray(theta, dtype=float)
-        return (expit(t) * expit(-t))[..., None]
+        e = np.exp(-np.abs(np.asarray(theta, dtype=float)))
+        return (e / (1.0 + e) ** 2)[..., None]
 
     def third_potential(self, theta):
-        # s (1 - s) (1 - 2 s), with 1 - 2 s = (1 - s) - s
-        t = np.asarray(theta, dtype=float)
-        s, r = expit(t), expit(-t)
-        return (s * r * (r - s))[..., None, None]
+        return self.cubic_form(theta, 1.0)[..., None, None]
 
     def cubic_form(self, theta, u):
-        t = np.asarray(theta, dtype=float)
-        s, r = expit(t), expit(-t)
-        return s * r * (r - s) * u**2
+        # -tanh(theta / 2) psi'' u^2, with psi'' u^2 = (u / (2 cosh(theta / 2)))^2
+        h = np.asarray(theta, dtype=float) * _MINUS_HALF
+        c = np.cosh(h)
+        w = u / (c + c)
+        return np.tanh(h) * (w * w)
 
     def hess_potential_solve(self, theta, x):
-        t = np.asarray(theta, dtype=float)
-        return x / (expit(t) * expit(-t))
+        # x (2 cosh(theta / 2))^2: past |theta| = 709.78 psi''^-1 itself
+        # overflows, and so does the product, also where x, a cubic form
+        # that underflowed, is small
+        c = np.cosh(np.asarray(theta, dtype=float) * _HALF)
+        c2 = c + c
+        return x * (c2 * c2)
 
     def dual_potential(self, eta):
-        # xlogy keeps 0 log 0 = 0 where a saturated sigmoid gives eta in {0, 1}
+        # 0 log 0 = 0 where a saturated sigmoid gives eta in {0, 1}
         e = np.asarray(eta, dtype=float)[..., 0]
-        return _scalar(xlogy(e, e) + xlogy(1.0 - e, 1.0 - e))
+        return _scalar(_xlogx(e) + _xlogx(1.0 - e))
 
     def grad_dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)
@@ -419,7 +446,7 @@ class Categorical(_DiscreteFamily):
         return super().log_probs(pt)
 
     def potential(self, theta):
-        return _scalar(logsumexp(_append_zero(theta), axis=-1))
+        return _scalar(_logsumexp(_append_zero(theta)))
 
     def grad_potential(self, theta):
         return _softmax(theta)[..., :-1]
@@ -460,7 +487,7 @@ class Categorical(_DiscreteFamily):
 
     def dual_potential(self, eta):
         full = _with_last(np.asarray(eta, dtype=float))
-        return _scalar(np.sum(xlogy(full, full), axis=-1))
+        return _scalar(np.sum(_xlogx(full), axis=-1))
 
     def grad_dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)
@@ -487,6 +514,26 @@ def _with_last(eta):
 def _append_zero(theta):
     theta = np.asarray(theta, dtype=float)
     return np.concatenate([theta, np.zeros(theta.shape[:-1] + (1,))], axis=-1)
+
+
+def _xlogx(x):
+    """x log x, and 0 where x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x * np.log(x))
+
+
+def _logsumexp(z):
+    """log sum exp(z) over the last axis as m + log n + log1p(rest / n), with
+    m the largest entry, n the number of entries equal to it and rest the sum
+    of exp(z - m) over the others (Blanchard, Higham & Higham 2021): a term
+    far below m keeps its digits.  A spread beyond the largest double makes
+    z - m = -inf, a term of 0."""
+    m = z.max(axis=-1, keepdims=True)
+    top = z == m
+    with np.errstate(over="ignore"):
+        rest = np.sum(np.exp(np.where(top, -np.inf, z - m)), axis=-1)
+    n = np.sum(top, axis=-1)
+    return np.log1p(rest / n) + np.log(n) + m[..., 0]
 
 
 def _softmax(theta):
@@ -650,6 +697,13 @@ class Gaussian1D(DistributionFamily):
         e = np.asarray(eta, dtype=float)
         e1, e2 = _components(e)
         return _scalar(-0.5 * (1.0 + np.log(e2 - e1**2)))
+
+    def dual_potential_at(self, pt: ParameterPoint):
+        # -1/2 - log sigma from sigma itself: eta2 - eta1^2 rounds sigma^2
+        # away once |mu| / sigma nears 1e8
+        self.validate(pt)
+        _, sigma = self._raw(pt)
+        return _scalar(-0.5 - np.log(sigma))
 
     def grad_dual_potential(self, eta):
         e = np.asarray(eta, dtype=float)

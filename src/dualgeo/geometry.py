@@ -19,7 +19,7 @@ independent metric route that the length functionals cross-check.
 Each family is its own Legendre pair: `legendre_dual`, `bregman_divergence`
 and `dual_metrics` take the family, with psi on the natural chart and its
 dual phi on the mean chart.  `QuadraticPotential`, the self-dual
-|theta|^2 / 2 with the same potential methods, serves the first two.
+|theta|^2 / 2 with the same potential methods, serves `legendre_dual`.
 
 `fisher_metric`, `divergence_hessians`, `christoffel_first_kind` and
 `christoffel` follow the batch convention of `distributions`: a
@@ -168,18 +168,15 @@ def legendre_dual(family: DistributionFamily | QuadraticPotential, theta: Parame
     return ParameterPoint(MEAN, eta), phi_value
 
 
-def bregman_divergence(
-    family: DistributionFamily | QuadraticPotential, theta: ParameterPoint, eta: ParameterPoint
-) -> float:
-    """psi(theta) + phi(eta) - <theta, eta> for natural theta and mean eta;
-    nonnegative, zero iff dual pair."""
+def bregman_divergence(family: DistributionFamily, theta: ParameterPoint, p: ParameterPoint) -> float:
+    """psi(theta) + phi(eta) - <theta, eta> for natural theta and the mean
+    coordinates eta of p, a point in any chart of the family; nonnegative,
+    zero iff dual pair.  phi is evaluated from p's own chart
+    (`dual_potential_at`), so it keeps what p's chart holds: the Gaussian's
+    sigma, which eta2 - eta1^2 loses far from mu = 0."""
     _require_chart(theta, NATURAL)
-    _require_chart(eta, MEAN)
-    return float(
-        family.potential(theta.coords)
-        + family.dual_potential(eta.coords)
-        - np.dot(theta.coords, eta.coords)
-    )
+    eta = family.convert(p, MEAN).coords
+    return float(family.potential(theta.coords) + family.dual_potential_at(p) - np.dot(theta.coords, eta))
 
 
 def kl_divergence(family: DistributionFamily, p: ParameterPoint, q: ParameterPoint) -> float:

@@ -153,10 +153,18 @@ def length_report(path: ParamPath, family: DistributionFamily) -> LengthReport:
     theta = family.convert(pts, NATURAL).coords
     image = ParamPath(MEAN, family.grad_potential(theta), path.ts)
     g_kl, g_star_kl = divergence_hessians(family, pts)
+    # a subnormal psi'' (a Bernoulli log-odds beyond 708) is positive, but
+    # its inverse, phi'' of the dual length and g^-1 of the harmonic one, overflows
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            dual = path_length(image, family.hess_potential_solve(theta[:, None, :], np.eye(family.dim)))
+            harmonic = harmonic_length(path, g, g_star_kl)
+    except FloatingPointError as exc:
+        raise NonConvergenceError(f"inverse metric overflows: {exc}") from None
     return LengthReport(
         primal=path_length(path, g),
-        dual=path_length(image, family.hess_potential_solve(theta[:, None, :], np.eye(family.dim))),
-        harmonic=harmonic_length(path, g, g_star_kl),
+        dual=dual,
+        harmonic=harmonic,
         divergence_based=path_length(path, g_kl + g_star_kl),
         grid_size=path.count,
     )

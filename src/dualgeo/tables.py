@@ -5,6 +5,7 @@ exactly; infinities are written as "inf"/"-inf".
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,15 +32,19 @@ class ScanTable:
         object.__setattr__(self, "rows", rows.tolist())
 
 
+# printf-style, so that a whole table renders in one % of a repeated row
+# template; "%.17g" % v is format(v, ".17g"), "inf" and "-inf" included
+_FORMAT = "%.17g"
+
+
 def format_value(v: float) -> str:
-    return format(v, ".17g")
+    return _FORMAT % v
 
 
 def to_csv(table: ScanTable) -> bytes:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(format_value(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    row = ",".join([_FORMAT] * len(table.columns)) + "\n"
+    values = tuple(itertools.chain.from_iterable(table.rows))
+    return (",".join(table.columns) + "\n" + row * len(table.rows) % values).encode("ascii")
 
 
 def from_csv(data: bytes, meta=None) -> ScanTable:

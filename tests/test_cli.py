@@ -563,22 +563,19 @@ def test_zero_load_membrane_has_no_convergence_order(tmp_path):
     assert not np.any(np.array(payload["rows"])[:, 1:])
 
 
-# Known breaches of the contract, each a RuntimeWarning today; strict, so that
-# a mended case fails here until its mark goes.
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # Gaussian mean coordinates keep sigma^2 only as eta2 - eta1^2: at
-        # sigma = 1e-16 beside mu^2 = 640000 it rounds to 0, and the Bregman
-        # column's log(0) warns
-        ["divergence", "--family", "gaussian", "--chart", "raw", "--p", "800,1e-16", "--q", "1e-310,0.5"],
-    ],
-    ids=["divergence-gaussian-mean"],
-)
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning)
-def test_known_contract_breaches(argv):
-    code, err, _ = run_clean(argv)
-    assert code in (0, 2, 3) and (code == 0 or err.startswith("error: "))
+def test_bregman_at_a_far_gaussian_mean_is_clean():
+    # Gaussian mean coordinates keep sigma^2 only as eta2 - eta1^2: at
+    # sigma = 1e-16 beside mu^2 = 640000 it rounds to 0, and phi(eta) took
+    # log 0, warned and printed inf; phi from p's raw chart, -1/2 - log sigma,
+    # keeps sigma, and the Bregman column is KL(p || q) = 1280035.648...
+    argv = ["divergence", "--family", "gaussian", "--chart", "raw", "--p", "800,1e-16", "--q", "1e-310,0.5"]
+    code, err, data = run_clean(argv)
+    assert (code, err) == (0, "")
+    table = tables.from_csv(data)
+    row = dict(zip(table.columns, table.rows[0]))
+    kl = np.log(0.5 / 1e-16) + 800.0**2 / (2.0 * 0.25) - 0.5
+    assert abs(row["kl_pq"] - kl) <= 2 * np.spacing(kl)
+    assert abs(row["bregman"] - kl) <= 2 * np.spacing(kl)
 
 
 def test_dual_length_at_a_far_gaussian_mean_is_clean():
@@ -590,6 +587,17 @@ def test_dual_length_at_a_far_gaussian_mean_is_clean():
     code, err, data = run_clean(argv)
     assert (code, err) == (0, "")
     assert data == b"primal,dual,harmonic,divergence_based,grid_size\n0,0,0,0,129\n"
+
+
+@pytest.mark.parametrize("start, end", [("708.5", "709.5"), ("700", "720"), ("-744", "-740")])
+def test_lengths_where_bernoulli_psi_hess_is_subnormal_exit_3(start, end):
+    # psi'' is positive but subnormal past |theta| = 708.4, and its inverse,
+    # phi'' of the dual length and g^-1 of the harmonic one, overflows; the
+    # first path once warned and printed a dual length of 0 with exit 0
+    argv = ["lengths", "--family", "bernoulli", "--chart", "natural", f"--start={start}", f"--end={end}"]
+    code, err, data = run_clean(argv)
+    assert (code, data) == (3, b"")
+    assert err.startswith("error: numerics: inverse metric overflows")
 
 
 CAT_NATURAL = ["divergence", "--family", "categorical", "--chart", "natural"]
@@ -649,17 +657,34 @@ def test_categorical_log_odds_spread_beyond_largest_double_exits_2():
     assert err.startswith("error: parameters: log-odds spread")
 
 
-def test_import_loads_neither_scipy_optimize_nor_scipy_linalg():
-    # a fresh interpreter: the suite itself has loaded both
-    code = (
-        "import sys, dualgeo.cli; "
-        "print([m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg'))]); "
-        "print(callable(dualgeo.chsh.minimize))"
-    )
+def fresh_interpreter(code):
+    """stdout lines of code run in a new interpreter that imports this
+    checkout's dualgeo: the suite itself has loaded scipy."""
     src = str(Path(dualgeo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    return out.stdout.split("\n")
+
+
+def test_import_loads_no_scipy_module():
+    lines = fresh_interpreter(
+        "import sys, dualgeo.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]); "
+        "print(callable(dualgeo.chsh.minimize))"
+    )
+    assert lines[:2] == ["[]", "True"]
+
+
+def test_string_loads_scipy_special_when_called():
+    # the elliptic integral of string_arc_length_exact is the one scipy
+    # function a CLI path needs, imported when called
+    lines = fresh_interpreter(
+        "import sys, dualgeo.cli; "
+        "before = 'scipy.special' in sys.modules; "
+        "code = dualgeo.cli.main(['string', '--A', '1', '--fs', '1', '--x', '1.5707963267948966']); "
+        "print(before, code, 'scipy.special' in sys.modules)"
+    )
+    assert lines[-2] == "False 0 True"
 
 
 def test_membrane_convergence_order_overflow_exits_3():

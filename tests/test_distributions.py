@@ -1,6 +1,8 @@
 """Chart maps, potentials, scores, and KL for the concrete families."""
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import expit, log_expit, logsumexp, xlogy
 
 from dualgeo.distributions import (
     MEAN,
@@ -14,6 +16,8 @@ from dualgeo.distributions import (
     InvalidParameterError,
     ParameterPoint,
     SupportError,
+    _logsumexp,
+    _xlogx,
     point,
 )
 
@@ -224,3 +228,142 @@ def test_discrete_kl_blows_up_toward_support_loss():
     q = ParameterPoint(NATURAL, np.array([50.0, 0.0]))
     assert np.isfinite(fam.kl(p, q))
     assert fam.kl(p, q) > 10.0
+
+
+def test_gaussian_dual_potential_is_taken_from_the_points_chart():
+    fam = Gaussian1D()
+    # where eta2 - eta1^2 keeps sigma^2, every chart gives phi(eta); measured
+    # at most 1 ulp apart, bound 2 ulps of the largest value
+    raw = np.array([[0.0, 1.0], [0.3, 2.0], [-4.0, 0.5], [1e3, 7.0]])
+    phi = fam.dual_potential(fam.convert(ParameterPoint(RAW, raw), MEAN).coords)
+    for chart in (RAW, NATURAL, MEAN):
+        got = fam.dual_potential_at(fam.convert(ParameterPoint(RAW, raw), chart))
+        assert np.all(np.abs(got - phi) <= 2 * np.spacing(np.max(np.abs(phi))))
+    # at |mu| / sigma = 8e18 the variance eta2 - eta1^2 rounds to 0, and the
+    # raw chart still holds sigma: phi = -1/2 - log(1e-16)
+    assert fam.dual_potential_at(point(RAW, 800.0, 1e-16)) == -0.5 - np.log(1e-16)
+    # the discrete families take phi of the mean coordinates
+    assert Bernoulli().dual_potential_at(point(NATURAL, 0.0)) == Bernoulli().dual_potential(np.array([0.5]))
+
+
+# -- numpy forms of the special functions -----------------------------------
+#
+# scipy.special is the oracle here and nowhere in the library: `expit` for the
+# Bernoulli sigmoid, `log_expit` for its log-probabilities, `logsumexp` for
+# the Categorical potential and `xlogy` for x log x in the dual potentials.
+
+TINY = np.finfo(float).tiny
+EPS = np.finfo(float).eps
+# every 0.5 from -745 to 745 with the saturation edges of both tails: the
+# sigmoid rounds to 1 past 36.7 and e^t underflows below 2.2e-308 past -708.4,
+# expit rounds to 0 past -709.78 and e^t to 0 past -745.1
+LOGITS = np.concatenate([
+    np.linspace(-745.0, 745.0, 2981),
+    [s * m for s in (-1.0, 1.0) for m in (0.0, 1e-300, 1e-12, 36.7, 37.0, 708.4, 709.78, 709.79, 744.5, 745.2, 800.0)],
+])
+
+
+def test_sigmoid_matches_expit():
+    got = Bernoulli().grad_potential(LOGITS[:, None])[:, 0]
+    ref = expit(LOGITS)
+    # measured at most 2 ulps where expit is a normal number; the bound is 4
+    normal = ref >= TINY
+    assert np.all(np.abs(got - ref)[normal] <= 4 * np.spacing(ref[normal]))
+    # below that expit rounds to 0 past -709.78, where the sigmoid is e^t to
+    # rounding: e / (1 + e) keeps it exactly, subnormal down to -745.1
+    assert np.array_equal(got[~normal], np.exp(LOGITS[~normal]))
+
+
+def test_log_probs_match_log_expit():
+    got = Bernoulli().log_probs(ParameterPoint(NATURAL, LOGITS[:, None]))
+    ref = np.stack([log_expit(-LOGITS), log_expit(LOGITS)], axis=-1)
+    # measured bit-identical; the bound allows 2 ulps
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
+def test_categorical_potential_matches_logsumexp():
+    rng = np.random.default_rng(26)
+    theta = np.concatenate([
+        rng.uniform(-745.0, 745.0, (400, 4)),
+        rng.normal(0.0, 1.0, (400, 4)),
+        # one outcome far above the others, ties at the top, a spread beyond
+        # the largest double, log-odds whose terms underflow
+        [[-40.0] * 4, [40.0, 40.0, 0.0, 1e-300], [0.0] * 4, [1e308, -1e308, 0.0, 0.0], [-745.0] * 4, [-1e308] * 4],
+    ])
+    z = np.concatenate([theta, np.zeros((len(theta), 1))], axis=-1)
+    with np.errstate(over="ignore"):
+        ref = logsumexp(z, axis=-1)
+        got = _logsumexp(z)
+    # measured bit-identical, psi = 1.7e-17 at log-odds -40 included; the
+    # bound allows 2 ulps
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+    assert np.array_equal(Categorical(5).potential(theta[:-2]), got[:-2])
+    # the last outcome's 0 against log-odds -inf: log 1 = 0, as logsumexp
+    assert _logsumexp(np.array([-np.inf, -np.inf, 0.0])) == 0.0
+
+
+def test_x_log_x_matches_xlogy():
+    rng = np.random.default_rng(27)
+    x = np.concatenate([[0.0, 5e-324, 1e-310, TINY, 1e-300, 0.5, 1.0 - EPS, 1.0],
+                        rng.uniform(0.0, 1.0, 2000), 10.0 ** rng.uniform(-320.0, 0.0, 2000)])
+    got, ref = _xlogx(x), xlogy(x, x)
+    # measured 1 ulp (numpy's log against the C library's); the bound is 2
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+    assert _xlogx(0.0) == 0.0
+    assert Bernoulli().dual_potential(np.array([0.0])) == Bernoulli().dual_potential(np.array([1.0])) == 0.0
+
+
+# -- Bernoulli derivatives against 50-digit references -----------------------
+#
+# psi'' = 1 / (2 + 2 cosh t), psi''' = -psi'' tanh(t / 2) and the sigmoid
+# 1 / (1 + e^-t) in mpmath at 50 digits.  s r (r - s) from rounded sigmoids
+# s and r = 1 - s was 8.9e-5 off psi''' at t = 1e-12 and 1 (all digits) at
+# t = 1e-300.
+
+
+def bernoulli_reference(t):
+    with mpmath.workdps(50):
+        t = mpmath.mpf(float(t))
+        hess = 1 / (2 + 2 * mpmath.cosh(t))
+        return float(1 / (1 + mpmath.exp(-t))), float(hess), float(-hess * mpmath.tanh(t / 2)), 2 + 2 * mpmath.cosh(t)
+
+
+def test_bernoulli_derivatives_near_zero_and_in_the_tails():
+    mags = np.concatenate([[0.0], np.geomspace(1e-300, 700.0, 300)])
+    t = np.concatenate([-mags[::-1], mags])
+    ref = [bernoulli_reference(v) for v in t]
+    u, x = 1.7, -0.3
+    fam, col = Bernoulli(), t[:, None]
+    checks = [
+        (fam.grad_potential(col)[:, 0], [r[0] for r in ref]),
+        (fam.hess_potential(col)[:, 0, 0], [r[1] for r in ref]),
+        (fam.third_potential(col)[:, 0, 0, 0], [r[2] for r in ref]),
+        (fam.cubic_form(col, np.full_like(col, u))[:, 0], [r[2] * u * u for r in ref]),
+        (fam.hess_potential_solve(col, np.full_like(col, x))[:, 0], [float(x * r[3]) for r in ref]),
+    ]
+    # measured relative error, in units of eps: sigmoid 1.0, psi'' 1.0,
+    # psi''' 2.4, cubic form 2.3, solve 0.9; the bound is 4
+    for got, want in checks:
+        want = np.array(want)
+        assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
+
+
+def test_bernoulli_derivatives_where_psi_hess_is_subnormal():
+    # psi'' falls below 2.2e-308 past |t| = 708.4 and to 0 past 745.1; e and
+    # cosh(t / 2) stay finite, so nothing overflows or warns
+    far = np.concatenate([np.linspace(700.0, 746.0, 461), [708.4, 709.78, 709.79, 744.4, 745.1]])
+    t = np.concatenate([-far, far])
+    ref = np.array([bernoulli_reference(v)[:3] for v in t])
+    u, fam, col = 1.7, Bernoulli(), t[:, None]
+    checks = [
+        (fam.hess_potential(col)[:, 0, 0], ref[:, 1]),
+        (fam.third_potential(col)[:, 0, 0, 0], ref[:, 2]),
+        (fam.cubic_form(col, np.full_like(col, u))[:, 0], ref[:, 2] * u * u),
+    ]
+    # measured: at most 1.9 eps relative where the reference is normal, and
+    # 3 units of the smallest subnormal, 4.9e-324, where it is not (the cubic
+    # form rounds u^2 times a subnormal); the bounds are 4 eps and 6 units
+    for got, want in checks:
+        normal = np.abs(want) >= TINY
+        assert np.all(np.abs(got - want)[normal] <= 4 * EPS * np.abs(want[normal]))
+        assert np.all(np.abs(got - want)[~normal] <= 6 * 5e-324)

@@ -77,3 +77,21 @@ def test_json_compact_ascii():
     data = T.to_json(table)
     assert b" " not in data
     data.decode("ascii")
+
+
+def per_value_csv(table):
+    """The CSV bytes with one format(v, ".17g") call per value."""
+    lines = [",".join(table.columns)] + [",".join(format(v, ".17g") for v in row) for row in table.rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_csv_template_matches_per_value_format():
+    rng = np.random.default_rng(32)
+    rows = rng.normal(size=(1000, 4)) * 10.0 ** rng.integers(-320, 308, (1000, 4))
+    rows[:3] = [
+        [math.inf, -math.inf, 0.0, -0.0],
+        [5e-324, -2.2250738585072014e-308, 1e-310, 2.0**53 + 1.0],
+        [1e22, 123456789012345678.0, -1e308, 1.7976931348623157e308],
+    ]
+    for table in (T.ScanTable(("a", "b", "c", "d"), rows), T.ScanTable(("x",), []), T.ScanTable((), [])):
+        assert T.to_csv(table) == per_value_csv(table)
