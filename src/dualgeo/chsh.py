@@ -211,25 +211,74 @@ def loop_excess(state, a, a_prime, b, b_prime) -> float:
 
 
 _TIE_TOL = 1e-12
+# index pairs (a, a') per block of the Tsirelson grid search
+_SCAN_BLOCK = 2**12
+_WINDOW = np.arange(-1, 2)
 
 
-def _scan_grid(e: np.ndarray):
-    """Grid optimum of |S| over index quadruples of the correlator grid e.
+def _extreme_windows(coef: np.ndarray, n: int):
+    """Column indices (pairs, 3) of the three grid entries around the maximum
+    and around the minimum of each sinusoid coef[k] . u(b) on the n-angle
+    grid.  The indices lie in [-n/2 - 1, n/2 + 1]; numpy reads a negative
+    index modulo n."""
+    at = np.arctan2(coef[:, 1], coef[:, 0]) * (n / (2.0 * np.pi))  # in [-n/2, n/2]
+    peak = np.rint(at).astype(np.intp)
+    trough = np.rint(at - np.copysign(0.5 * n, at)).astype(np.intp)
+    return peak[:, None] + _WINDOW, trough[:, None] + _WINDOW
+
+
+def _pair_best(e: np.ndarray, tu: np.ndarray) -> np.ndarray:
+    """best[a, a'], the largest |S| over (b, b') on the correlator grid
+    e = tu @ u.T, where tu = u @ T and u holds the grid's unit vectors.
 
     S = (E[a,b] + E[a',b]) + (E[a',b'] - E[a,b']) separates in b and b', so
-    for each a the best over (b, b') is a row maximum (or minimum) of two
-    N x N blocks: O(N^3) time and O(N^2) memory.
+    best[a, a'] takes the extremes of two rows, each a sinusoid in b:
+    e[a] + e[a'] has the coefficient tu[a] + tu[a'] and e[a'] - e[a] has
+    tu[a'] - tu[a].  A sinusoid's grid maximum lies at the index nearest its
+    coefficient's angle and its minimum at the index nearest the antipode,
+    so each extreme is read from the three entries around that index.
+    Exchanging a and a' keeps the sum row and negates the difference row
+    exactly, so one pass over the pairs a <= a' fills best[a, a'] and
+    best[a', a] with the floating sums a full row scan forms.  The pairs go
+    in blocks of rows, so temporaries stay O(_SCAN_BLOCK) and best is the
+    one N x N array the search adds to e.
+
+    Where a coefficient is within rounding of 0 (a' = a + pi on an even
+    grid, a product state's rank-1 T, T = 0) the row is rounding noise and
+    its float extreme may lie outside the three entries; best then differs
+    from a full row scan by a few ulps, far inside _TIE_TOL.
     """
     n = e.shape[0]
     best = np.empty((n, n))  # best[a, a'] = max |S| over (b, b')
-    for ia in range(n):
-        plus = e + e[ia]  # [a', b] -> E[a,b] + E[a',b]
-        minus = e - e[ia]  # [a', b'] -> E[a',b'] - E[a,b']
-        np.maximum(
-            plus.max(axis=1) + minus.max(axis=1),
-            -(plus.min(axis=1) + minus.min(axis=1)),
-            out=best[ia],
-        )
+    rows_per_block = max(1, _SCAN_BLOCK // n)
+    for start in range(0, n, rows_per_block):
+        # the pairs a <= a' with a in this block of rows
+        stop = min(start + rows_per_block, n)
+        ia, iap = np.nonzero(np.arange(start, n) >= np.arange(start, stop)[:, None])
+        ia += start
+        iap += start
+        a_rows, ap_rows = ia[:, None], iap[:, None]
+        ta, tap = tu[ia], tu[iap]
+        top, bottom = _extreme_windows(ta + tap, n)
+        plus_max = (e[a_rows, top] + e[ap_rows, top]).max(axis=1)
+        plus_min = (e[a_rows, bottom] + e[ap_rows, bottom]).min(axis=1)
+        top, bottom = _extreme_windows(tap - ta, n)
+        minus_max = (e[ap_rows, top] - e[a_rows, top]).max(axis=1)
+        minus_min = (e[ap_rows, bottom] - e[a_rows, bottom]).min(axis=1)
+        best[ia, iap] = np.maximum(plus_max + minus_max, -(plus_min + minus_min))
+        # at (a', a) the difference row's extremes are -minus_min and -minus_max
+        best[iap, ia] = np.maximum(plus_max - minus_min, minus_max - plus_min)
+    return best
+
+
+def _scan_grid(e: np.ndarray, tu: np.ndarray):
+    """Grid optimum of |S| over index quadruples (a, a', b, b') of the
+    correlator grid e = tu @ u.T, in O(N^2) time and memory: the
+    lexicographically smallest pair (a, a') whose best |S| (`_pair_best`)
+    lies within _TIE_TOL of the largest, then the smallest (b, b') for that
+    pair."""
+    n = e.shape[0]
+    best = _pair_best(e, tu)
     threshold = best.max() - _TIE_TOL
     ia, iap = divmod(int(np.argmax(best >= threshold)), n)
     s_block = np.abs((e[ia] + e[iap])[:, None] + (e[iap] - e[ia])[None, :])
@@ -262,8 +311,9 @@ def tsirelson_scan(state: BipartiteState, grid_size: int) -> ScanTable:
     t = correlation_block(state)
     angles = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
     u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    e = u @ t @ u.T  # e[i, j] = E(angles[i], angles[j])
-    ia, iap, ib, ibp = _scan_grid(e)
+    tu = u @ t
+    e = tu @ u.T  # e[i, j] = E(angles[i], angles[j])
+    ia, iap, ib, ibp = _scan_grid(e, tu)
     grid_settings = np.array([angles[ia], angles[iap], angles[ib], angles[ibp]])
     grid_s = float(e[ia, ib] - e[ia, ibp] + e[iap, ib] + e[iap, ibp])
     refined = _closed_form_settings(t, 0.5 * (grid_settings[2] + grid_settings[3]))

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -281,7 +282,10 @@ def _cmd_string(args):
 # -- parser wiring ------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later `main` in the process."""
     parser = _Parser(prog="dualgeo", description="Dual-affine information geometry toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dualgeo import chsh as C
 from dualgeo.quantum import BipartiteState, DimensionMismatchError
@@ -56,6 +58,95 @@ def brute_force_grid_argmax(state, n):
     )
     flat = np.argmax(s4 >= s4.max() - 1e-12)
     return np.unravel_index(flat, s4.shape)
+
+
+def row_scan_best(e):
+    """Oracle: best[a, a'], the largest |S| over (b, b'), by O(N^3) row
+    scans: for each a, the extremes of the full rows e[a] + e[a'] and
+    e[a'] - e[a] at every a'."""
+    n = e.shape[0]
+    best = np.empty((n, n))
+    for ia in range(n):
+        plus = e + e[ia]  # [a', b] -> E[a,b] + E[a',b]
+        minus = e - e[ia]  # [a', b'] -> E[a',b'] - E[a,b']
+        np.maximum(
+            plus.max(axis=1) + minus.max(axis=1),
+            -(plus.min(axis=1) + minus.min(axis=1)),
+            out=best[ia],
+        )
+    return best
+
+
+def row_scan_grid(e, best):
+    """Oracle: the grid optimum from row_scan_best's best, with the
+    library's tie rule and (b, b') step."""
+    n = e.shape[0]
+    threshold = best.max() - C._TIE_TOL
+    ia, iap = divmod(int(np.argmax(best >= threshold)), n)
+    s_block = np.abs((e[ia] + e[iap])[:, None] + (e[iap] - e[ia])[None, :])
+    ib, ibp = divmod(int(np.argmax(s_block >= threshold)), n)
+    return ia, iap, ib, ibp
+
+
+def assert_grid_row_matches_row_scan(state, n):
+    """On the grid tsirelson_scan builds: its grid row, byte for byte,
+    against the row at row_scan_grid's index quadruple, and _pair_best
+    against row_scan_best, bit for bit where neither row's coefficient is
+    within 1e-9 of 0 and within 1e-15 where one is rounding noise (4.4e-16
+    measured)."""
+    angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    u = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    tu = u @ C.correlation_block(state)
+    e = tu @ u.T
+    best, oracle = C._pair_best(e, tu), row_scan_best(e)
+    coef = np.minimum(
+        np.linalg.norm(tu[:, None] + tu[None, :], axis=-1),
+        np.linalg.norm(tu[:, None] - tu[None, :], axis=-1),
+    )
+    resolved = coef > 1e-9
+    assert np.array_equal(best[resolved], oracle[resolved])
+    assert np.max(np.abs(best - oracle)) <= 1e-15
+    ia, iap, ib, ibp = row_scan_grid(e, oracle)
+    s = e[ia, ib] - e[ia, ibp] + e[iap, ib] + e[iap, ibp]
+    expected = [angles[ia], angles[iap], angles[ib], angles[ibp], s, abs(s), 0.0]
+    grid_row = C.tsirelson_scan(state, n).rows[0]
+    assert np.array(grid_row).tobytes() == np.array(expected).tobytes()
+
+
+# T = 0: both Bloch vectors along y
+ZERO_T_STATE = C.product_state([1.0, 1j], [1.0, 1j])
+unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def oracle_states(draw):
+    """Random, Schmidt (weights 0 and 1 among them), singlet, product and
+    T = 0 states: rank-1 and zero T make rows of rounding noise."""
+    kind = draw(st.sampled_from(("random", "schmidt", "singlet", "product", "zero")))
+    if kind == "random":
+        amps = np.array(draw(st.lists(unit, min_size=8, max_size=8)))
+        c = (amps[:4] + 1j * amps[4:]).reshape(2, 2)
+        if np.linalg.norm(c) < 1e-3:
+            c[0, 0] = 1.0
+        return BipartiteState(c / np.linalg.norm(c))
+    if kind == "schmidt":
+        return C.schmidt_pair(draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)))
+    if kind == "product":
+        a, b = (np.array(draw(st.lists(unit, min_size=4, max_size=4))) for _ in range(2))
+        a, b = a[:2] + 1j * a[2:], b[:2] + 1j * b[2:]
+        if min(np.linalg.norm(a), np.linalg.norm(b)) < 1e-3:
+            return C.product_state()
+        return C.product_state(a, b)
+    return C.singlet() if kind == "singlet" else ZERO_T_STATE
+
+
+@given(oracle_states(), st.integers(8, 160))
+def test_grid_search_matches_row_scan_oracle(state, n):
+    assert_grid_row_matches_row_scan(state, n)
+
+
+def test_grid_search_matches_row_scan_oracle_at_256():
+    assert_grid_row_matches_row_scan(random_two_qubit(np.random.default_rng(256)), 256)
 
 
 def property_states(rng, n):
@@ -284,6 +375,21 @@ def test_tsirelson_scan_memory_is_quadratic():
         tracemalloc.stop()
     # the N^4 tensor alone would take 2 GiB at N = 128
     assert peak < 5 * 2**20
+
+
+def test_tsirelson_scan_peak_memory_at_largest_grid():
+    # four N x N arrays of 8 N^2 bytes each, the grid e, best and the |S|
+    # block of the (b, b') step with its absolute value, peak at 4.01 x 8 N^2
+    # (32 MiB at N = 1024); the search's blocks of index pairs take 0.97 MiB
+    # beside best, freed before the (b, b') step.  The bound keeps a 25 % margin
+    n = 1024
+    tracemalloc.start()
+    try:
+        C.tsirelson_scan(C.schmidt_pair(0.3), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n * n
 
 
 def test_tsirelson_scan_needs_two_qubits():

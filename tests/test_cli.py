@@ -185,6 +185,15 @@ def test_singular_geodesic_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerics: ")
 
 
+def test_unresolved_natural_bernoulli_geodesic_exits_3(tmp_path, capsys):
+    # theta' grows ~e^10-fold from log-odds 10 to 30: the 128 RK4 steps land
+    # on the endpoint along a path 0.28 off the arcsin sqrt(eta) geodesic
+    argv = ["geodesic", "--family", "bernoulli", "--chart", "natural", "--a", "10", "--b", "30", "--alpha", "0"]
+    code, data = run(argv, tmp_path)
+    assert code == 3 and data == b""
+    assert capsys.readouterr().err.startswith("error: numerics: geodesic not resolved: ")
+
+
 def test_wide_bernoulli_geodesic_exits_3_or_joins_endpoints(tmp_path, capsys):
     argv = ["geodesic", "--family", "bernoulli", "--chart", "mean", "--a", "0.1", "--b", "0.9", "--alpha", "0"]
     code, data = run(argv, tmp_path)
@@ -664,6 +673,24 @@ def fresh_interpreter(code):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     return out.stdout.split("\n")
+
+
+README_ARGV = [
+    line.split()[1:]
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("dualgeo ")
+]
+
+
+def test_readme_invocations_repeat_byte_identically_in_one_process():
+    # one parser serves every main() in the process: a second pass, in the
+    # reverse order, must give each invocation the same exit code and bytes
+    assert len(README_ARGV) == 10
+    assert cli.build_parser() is cli.build_parser()
+    first = {i: run_clean(argv) for i, argv in enumerate(README_ARGV)}
+    second = {i: run_clean(README_ARGV[i]) for i in reversed(range(len(README_ARGV)))}
+    assert first == second
+    assert all(code == 0 and out for code, _, out in first.values())
 
 
 def test_import_loads_no_scipy_module():
