@@ -276,12 +276,15 @@ def _scan_grid(e: np.ndarray, tu: np.ndarray):
     correlator grid e = tu @ u.T, in O(N^2) time and memory: the
     lexicographically smallest pair (a, a') whose best |S| (`_pair_best`)
     lies within _TIE_TOL of the largest, then the smallest (b, b') for that
-    pair."""
+    pair.  best is released before the (b, b') step, whose |S| block is
+    formed and made absolute in one N x N array beside e."""
     n = e.shape[0]
     best = _pair_best(e, tu)
     threshold = best.max() - _TIE_TOL
     ia, iap = divmod(int(np.argmax(best >= threshold)), n)
-    s_block = np.abs((e[ia] + e[iap])[:, None] + (e[iap] - e[ia])[None, :])
+    del best
+    s_block = np.add.outer(e[ia] + e[iap], e[iap] - e[ia])
+    np.abs(s_block, out=s_block)
     ib, ibp = divmod(int(np.argmax(s_block >= threshold)), n)
     return ia, iap, ib, ibp
 

@@ -3,20 +3,20 @@
 Three concrete families (1D Gaussian, Bernoulli, Categorical) expose a
 natural-parameter chart and a mean-parameter chart (plus a raw (mu, sigma)
 chart for the Gaussian).  Each family gives the log-partition psi and its
-first three derivatives in closed form, together with the first and second
+first two derivatives in closed form, together with the first and second
 derivatives of every chart map into the natural chart; the mean-to-natural
-Jacobian is the Hessian of the dual potential.  `cubic_form` contracts
-psi''' twice with a vector and `hess_potential_solve` applies psi''^-1 to
-one, each in closed form from theta, as geodesic sprays need.  With the Fisher
-information of a chart (the Hessian of the flat chart's own potential, psi''
-or phi'', and diag(1, 2) / sigma^2 in the Gaussian raw chart) these are all
-the geometry module needs for Fisher metrics and alpha-connections.  The
-third cumulant tensor `third_potential` is the reference for `cubic_form`
-(Bernoulli's, a single entry, is its cubic form at u = 1) and serves the
-log-density Hessians.  Scores and log-density Hessians of
-single outcomes are transported from the natural chart by the chain rule;
-expectations are exact sums for discrete families and Gauss-Hermite
-quadrature for the Gaussian.  The discrete KL divergence has one formula,
+Jacobian is the Hessian of the dual potential.  psi''' has one route,
+`cubic_form`, which contracts it twice with a vector, and
+`hess_potential_solve` applies psi''^-1 to one, each in closed form from
+theta, as geodesic sprays need.  With the Fisher information of a chart (the
+Hessian of the flat chart's own potential, psi'' or phi'', and
+diag(1, 2) / sigma^2 in the Gaussian raw chart) these are all the geometry
+module needs for Fisher metrics and alpha-connections.  Scores and
+log-density Hessians of single outcomes are transported from the natural
+chart by the chain rule, the mean chart's second derivative by polarising
+`cubic_form`; expectations are exact sums for discrete families and
+Gauss-Hermite quadrature for the Gaussian, whose table is built on first
+use.  The discrete KL divergence has one formula,
 sum_x p(x) (log p(x) - log q(x)), from `log_probs`: log-sigmoid and
 log-softmax in the natural chart keep it finite where a probability rounds
 to 0.
@@ -31,6 +31,7 @@ returns a float for a single point and an array of the batch shape otherwise.
 """
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -152,10 +153,6 @@ class DistributionFamily(ABC):
         ...
 
     @abstractmethod
-    def third_potential(self, theta) -> np.ndarray:
-        """psi_abc(theta): the third cumulant tensor of the sufficient statistic."""
-
-    @abstractmethod
     def cubic_form(self, theta, u) -> np.ndarray:
         """psi_abc(theta) u^a u^b, (..., d): the third cumulant contracted
         twice with u at every point of a batch, in a closed form that does not
@@ -211,10 +208,14 @@ class DistributionFamily(ABC):
         In the mean chart H is minus psi''' pulled back by the Jacobian phi''."""
         if pt.chart == MEAN:
             # d phi'' = -phi'' (d psi'') phi'' and d psi''_de / d eta_j = psi_def phi''_fj,
-            # so H_aij = -phi''_ad psi_def phi''_ei phi''_fj, with phi'' symmetric
-            psi3 = self.third_potential(self.grad_dual_potential(pt.coords))
+            # so H_aij = -phi''_ad psi_def phi''_ei phi''_fj, with phi'' symmetric;
+            # psi_def c_i^e c_j^f of its columns c is the polarised cubic form
+            # [psi'''(c_i + c_j) - psi'''(c_i - c_j)] / 4
+            theta = self.grad_dual_potential(pt.coords)[..., None, None, :]
             jac = self.hess_dual_potential(pt.coords)
-            return -np.einsum("...def,...da,...ei,...fj->...aij", psi3, jac, jac, jac)
+            ci, cj = jac[..., :, None, :], jac[..., None, :, :]
+            psi3 = 0.25 * (self.cubic_form(theta, ci + cj) - self.cubic_form(theta, ci - cj))
+            return -np.einsum("...ad,...ijd->...aij", jac, psi3)
         raise ChartError(f"no natural-chart Jacobian for chart {pt.chart!r}")
 
     def _fisher_information(self, pt: ParameterPoint) -> np.ndarray:
@@ -356,9 +357,6 @@ class Bernoulli(_DiscreteFamily):
         e = np.exp(-np.abs(np.asarray(theta, dtype=float)))
         return (e / (1.0 + e) ** 2)[..., None]
 
-    def third_potential(self, theta):
-        return self.cubic_form(theta, 1.0)[..., None, None]
-
     def cubic_form(self, theta, u):
         # -tanh(theta / 2) psi'' u^2, with psi'' u^2 = (u / (2 cosh(theta / 2)))^2
         h = np.asarray(theta, dtype=float) * _MINUS_HALF
@@ -461,14 +459,6 @@ class Categorical(_DiscreteFamily):
         others = np.sum(np.where(eye, 0.0, full[..., None, :]), axis=-1)
         return np.where(eye[:, :-1], (p * others)[..., None], -p[..., :, None] * p[..., None, :])
 
-    def third_potential(self, theta):
-        # psi_ab = p_a n_ab with n_ab = delta_ab - p_b, and d p_a / d theta_c = p_a n_ac:
-        # psi_abc = d_abc p_a - d_ab p_a p_c - d_ac p_a p_b - d_bc p_a p_b + 2 p_a p_b p_c
-        p = self.grad_potential(theta)
-        n = np.eye(p.shape[-1]) - p[..., None, :]
-        pn = p[..., :, None] * n
-        return p[..., :, None, None] * (n[..., :, :, None] * n[..., :, None, :] - pn[..., None, :, :])
-
     def cubic_form(self, theta, u):
         # the third central moment E[(Y - m)^2 (T_c - p_c)] of Y = u . T, with
         # m = E[Y] = p . u: outcome a < k has Y - m = u_a - m = x_a, and the
@@ -543,6 +533,16 @@ def _softmax(theta):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+@functools.cache
+def _gauss_hermite():
+    """64 Gauss-Hermite nodes with their weights over sqrt(pi), exact for
+    Gaussian expectations of polynomials up to degree 127.  Built on first
+    use: only `Gaussian1D.expect` needs it, and numpy.polynomial is not
+    loaded by importing the module."""
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
+    return nodes, weights / np.sqrt(np.pi)
+
+
 # Largest sigma, 1 / sigma and |mu| / sigma of a valid point, in every chart:
 # the natural coordinates of (mu, sigma), the chart derivatives, psi'' and
 # psi''' there and their pullbacks carry powers of these up to the eighth (the
@@ -563,7 +563,6 @@ class Gaussian1D(DistributionFamily):
     """
 
     charts = (RAW, NATURAL, MEAN)
-    _gh_nodes, _gh_weights = np.polynomial.hermite.hermgauss(64)
 
     @property
     def dim(self):
@@ -639,8 +638,8 @@ class Gaussian1D(DistributionFamily):
     def expect(self, pt: ParameterPoint, f):
         self.validate(pt)
         mu, sigma = self._raw(pt)
-        xs = mu + np.sqrt(2.0) * sigma * self._gh_nodes
-        w = self._gh_weights / np.sqrt(np.pi)
+        nodes, w = _gauss_hermite()
+        xs = mu + np.sqrt(2.0) * sigma * nodes
         vals = [np.asarray(f(x), dtype=float) for x in xs]
         return sum(wi * v for wi, v in zip(w, vals))
 
@@ -661,17 +660,6 @@ class Gaussian1D(DistributionFamily):
         return _pack(
             [[-1.0 / (2.0 * t2), off], [off, -(t1**2) / (2.0 * t2**3) + 1.0 / (2.0 * t2**2)]],
             t.shape[:-1],
-        )
-
-    def third_potential(self, theta):
-        t = np.asarray(theta, dtype=float)
-        t1, t2 = _components(t)
-        p112 = 1.0 / (2.0 * t2**2)
-        p122 = -t1 / t2**3
-        p222 = 1.5 * t1**2 / t2**4 - 1.0 / t2**3
-        zero = np.zeros(t.shape[:-1])
-        return _pack(
-            [[[zero, p112], [p112, p122]], [[p112, p122], [p122, p222]]], t.shape[:-1]
         )
 
     def cubic_form(self, theta, u):

@@ -34,9 +34,8 @@ contracted with the velocity (`cubic_form`) and psi''^-1 applied to a vector
 solve.  `christoffel` is the polarised spray: Gamma(v, v) is a symmetric
 quadratic form, so Gamma(e_j, e_k) = [Gamma(e_j + e_k) - Gamma(e_j - e_k)] / 4
 gives the whole tensor from one spray call, and `christoffel_first_kind`
-lowers its index with the metric.  Neither needs the d^3 tensor psi_abc
-(`third_potential`), which stays in `distributions` as the reference for
-`cubic_form`.
+lowers its index with the metric.  Neither needs the d^3 tensor psi_abc,
+which only the tests write out, as the reference for `cubic_form`.
 """
 from __future__ import annotations
 

@@ -378,10 +378,13 @@ def test_tsirelson_scan_memory_is_quadratic():
 
 
 def test_tsirelson_scan_peak_memory_at_largest_grid():
-    # four N x N arrays of 8 N^2 bytes each, the grid e, best and the |S|
-    # block of the (b, b') step with its absolute value, peak at 4.01 x 8 N^2
-    # (32 MiB at N = 1024); the search's blocks of index pairs take 0.97 MiB
-    # beside best, freed before the (b, b') step.  The bound keeps a 25 % margin
+    # two N x N arrays of 8 N^2 bytes each at any time: the grid e beside
+    # best during the pair search, then beside the |S| block of the (b, b')
+    # step, made absolute in place once best is released; with the boolean
+    # tie mask (N^2 bytes) the peak is 2.13 x 8 N^2 (17 MiB at N = 1024,
+    # against 4.01 x while best, the block and its absolute value coexisted).
+    # The search's blocks of index pairs take 0.97 MiB beside best.  The bound
+    # keeps a 29 % margin
     n = 1024
     tracemalloc.start()
     try:
@@ -389,7 +392,7 @@ def test_tsirelson_scan_peak_memory_at_largest_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * n * n
+    assert peak <= 2.75 * 8 * n * n
 
 
 def test_tsirelson_scan_needs_two_qubits():

@@ -337,12 +337,13 @@ def test_bernoulli_derivatives_near_zero_and_in_the_tails():
     checks = [
         (fam.grad_potential(col)[:, 0], [r[0] for r in ref]),
         (fam.hess_potential(col)[:, 0, 0], [r[1] for r in ref]),
-        (fam.third_potential(col)[:, 0, 0, 0], [r[2] for r in ref]),
+        (fam.cubic_form(col, np.ones_like(col))[:, 0], [r[2] for r in ref]),
         (fam.cubic_form(col, np.full_like(col, u))[:, 0], [r[2] * u * u for r in ref]),
         (fam.hess_potential_solve(col, np.full_like(col, x))[:, 0], [float(x * r[3]) for r in ref]),
     ]
     # measured relative error, in units of eps: sigmoid 1.0, psi'' 1.0,
-    # psi''' 2.4, cubic form 2.3, solve 0.9; the bound is 4
+    # psi''' (the cubic form at u = 1) 2.4, cubic form 2.3, solve 0.9; the
+    # bound is 4
     for got, want in checks:
         want = np.array(want)
         assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
@@ -357,7 +358,7 @@ def test_bernoulli_derivatives_where_psi_hess_is_subnormal():
     u, fam, col = 1.7, Bernoulli(), t[:, None]
     checks = [
         (fam.hess_potential(col)[:, 0, 0], ref[:, 1]),
-        (fam.third_potential(col)[:, 0, 0, 0], ref[:, 2]),
+        (fam.cubic_form(col, np.ones_like(col))[:, 0], ref[:, 2]),
         (fam.cubic_form(col, np.full_like(col, u))[:, 0], ref[:, 2] * u * u),
     ]
     # measured: at most 1.9 eps relative where the reference is normal, and

@@ -41,6 +41,29 @@ CHART_IDS = [f"{type(f).__name__}{f.dim}-{p.chart}" for f, p in CHART_POINTS]
 # exact for the Gaussian's polynomial integrands).  The second derivative of
 # the chart map comes from extrapolated central differences of the analytic
 # Jacobian, so the oracle shares no term with the closed forms but psi''.
+# The third cumulant tensor is written out here as the reference for
+# `cubic_form`, the library's one route to psi'''.
+
+
+def third_potential(fam, theta):
+    """psi_abc(theta), the third cumulant tensor of the sufficient statistic,
+    (..., d, d, d).  Discrete families (Bernoulli is the case k = 2, with p
+    the head probability): psi_ab = p_a n_ab with n_ab = delta_ab - p_b and
+    d p_a / d theta_c = p_a n_ac give psi_abc = p_a (n_ab n_ac - p_b n_bc).
+    Gaussian: psi_111 = 0, psi_112 = 1 / (2 theta_2^2), psi_122 =
+    -theta_1 / theta_2^3, psi_222 = 3/2 theta_1^2 / theta_2^4 - 1 / theta_2^3."""
+    t = np.asarray(theta, dtype=float)
+    if isinstance(fam, Gaussian1D):
+        t1, t2 = t[..., 0], t[..., 1]
+        p112 = 1.0 / (2.0 * t2**2)
+        p122 = -t1 / t2**3
+        p222 = 1.5 * t1**2 / t2**4 - 1.0 / t2**3
+        psi3 = np.array([[[np.zeros_like(t1), p112], [p112, p122]], [[p112, p122], [p122, p222]]])
+        return np.moveaxis(psi3, (0, 1, 2), (-3, -2, -1))
+    p = fam.grad_potential(t)
+    n = np.eye(p.shape[-1]) - p[..., None, :]
+    pn = p[..., :, None] * n
+    return p[..., :, None, None] * (n[..., :, :, None] * n[..., :, None, :] - pn[..., None, :, :])
 
 
 def ridders(diff, h, shrink=2.0, levels=14):
@@ -862,17 +885,41 @@ def test_mean_chart_spray_is_exactly_zero_for_the_mixture_connection(fam):
     assert not np.any(spray)
 
 
-# Measured: at most 2.5e-16 relative to the largest component.
+# Measured at this seed, relative to the largest component: 4.8e-16
+# (Bernoulli), 2.4e-16 (Categorical(5)) and 2.6e-16 (Gaussian).  Most of the
+# Bernoulli figure is the reference's: it forms 1 - 2p from the rounded
+# sigmoid p, and over seeds 0 to 39 it reached 1.1e-15 where the same
+# reference in 80-bit long double stayed within 5.7e-16.
 @pytest.mark.parametrize("fam", [Bernoulli(), Categorical(5), Gaussian1D()], ids=lambda f: type(f).__name__)
 def test_cubic_form_matches_third_potential(fam):
     rng = np.random.default_rng(11)
     theta = fam.convert(ParameterPoint(MEAN, batch_in_chart(fam, MEAN, 8, rng)), NATURAL).coords
     u = rng.normal(0.0, 1.0, theta.shape)
-    ref = np.einsum("...abc,...a,...b->...c", fam.third_potential(theta), u, u)
+    ref = np.einsum("...abc,...a,...b->...c", third_potential(fam, theta), u, u)
     got = fam.cubic_form(theta, u)
     assert got.shape == theta.shape
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
+
+
+# Error relative to the largest entry of H at each point.  Measured at this
+# seed: 1.7e-15 (Bernoulli), 8.1e-15 (Categorical(4)) and 1.3e-14 (Gaussian);
+# over seeds 0 to 39, 2.0e-14, 6.2e-15 and 4.8e-14.  The bound is 2.5 times
+# the worst.
+@pytest.mark.parametrize("fam", [Bernoulli(), Categorical(4), Gaussian1D()], ids=lambda f: type(f).__name__)
+def test_mean_chart_natural_hessian_is_the_pulled_back_third_cumulant(fam):
+    # H = d^2 theta / d eta^2 = -phi'' psi_abc phi'' phi'', which the library
+    # forms by polarising the cubic form.  Nothing else checks it: the
+    # linear-algebra spray route leaves the mean chart out, and in the
+    # Bartlett identity E[logp_hessian] = -g it meets the score, whose mean is 0
+    xs = spray_points(fam, MEAN, np.random.default_rng(20261018))
+    jac = fam.hess_dual_potential(xs)
+    psi3 = third_potential(fam, fam.grad_dual_potential(xs))
+    ref = -np.einsum("...def,...da,...ei,...fj->...aij", psi3, jac, jac, jac)
+    got = fam._natural_jacobian_derivative(ParameterPoint(MEAN, xs))
+    assert got.shape == ref.shape == xs.shape + (fam.dim, fam.dim)
+    err = np.max(np.abs(got - ref), axis=(-3, -2, -1))
+    assert np.all(err <= 1.2e-13 * np.max(np.abs(ref), axis=(-3, -2, -1)))
 
 def test_christoffel_is_one_spray_call(monkeypatch):
     calls = []
